@@ -9,9 +9,8 @@ routers) are a pure function of the request stream, never of live
 loads.  The coordinator exploits exactly that:
 
 * the fleet is partitioned into ``config.shards`` contiguous machine
-  ranges, each advanced by its own :class:`repro.sim.Simulator`
-  calendar (inline, or in a spawned worker process with
-  ``config.shard_processes``);
+  ranges, each advanced inline by its own :class:`repro.sim.Simulator`
+  calendar;
 * the router runs *once*, in the coordinator, replaying the unsharded
   routing-call order (arrivals in sorted order, crash refugees at their
   crash instants) — shards receive pre-routed work;
@@ -26,11 +25,11 @@ loads.  The coordinator exploits exactly that:
 produces the same records (token times, preemptions, migrations), the
 same per-machine busy accounting, the same makespan, and the same
 derived metrics as the single-calendar reference, for *any* shard count
-and for inline and process workers alike — pinned by
-``tests/test_sharded.py``.  The shard-local event interleavings differ,
-but machines never share calendar-ordered resources across shards:
-within a window each machine's trajectory is fully determined by its
-own queue, whose contents the coordinator replays exactly.
+— pinned by ``tests/test_sharded.py``.  The shard-local event
+interleavings differ, but machines never share calendar-ordered
+resources across shards: within a window each machine's trajectory is
+fully determined by its own queue, whose contents the coordinator
+replays exactly.
 
 Known, deliberate exclusions (validated with clear errors):
 
@@ -75,7 +74,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import traceback
 import types
 import typing
 
@@ -170,53 +168,41 @@ class _ShardRunner:
     ``[lo, hi)`` with sharding disabled; its unmodified machine
     processes are registered on a private calendar against a
     :class:`_ShardState`, and the coordinator drives that calendar
-    through the engine's resumable ``run(until=...)`` contract.  The
-    same class runs inline in the coordinator or inside a spawned
-    worker (:func:`_shard_worker_main`) — identical results either way.
+    through the engine's resumable ``run(until=...)`` contract.
     """
 
     def __init__(
         self,
+        parent: "ClusterSimulator",
+        lo: int,
+        hi: int,
+        arrivals: list[tuple["Request", int]],
         *,
-        model,
-        policy,
-        slo,
-        machine,
-        hermes_config,
-        trace,
-        granularity,
-        seed,
-        config,
-        fleet,
-        lo,
-        hi,
-        workload,
-        targets,
-        windowed,
-        tracing,
-        span_bounds,
+        windowed: bool,
+        tracing: bool,
+        span_bounds: dict[int, list[float]] | None,
     ) -> None:
         from .simulator import ClusterSimulator
 
-        child_config = dataclasses.replace(
-            config, num_machines=hi - lo, shards=0, shard_processes=False
-        )
+        config = parent.config
         child = ClusterSimulator(
-            model,
-            policy,
-            child_config,
-            slo=slo,
-            machine=machine,
-            hermes_config=hermes_config,
-            trace=trace,
-            granularity=granularity,
-            seed=seed,
-            fleet=_fleet_slice(fleet, lo, hi),
+            parent.model,
+            parent.policy,
+            dataclasses.replace(config, num_machines=hi - lo, shards=0),
+            slo=parent.slo,
+            machine=parent.base_machine,
+            hermes_config=parent._hermes_config,
+            trace=parent._trace,
+            granularity=parent._granularity,
+            seed=parent._seed,
+            fleet=_fleet_slice(parent.fleet, lo, hi),
         )
         child._machine_offset = lo
         self.sim = Simulator()
         self.state = _ShardState(
-            list(workload), targets, config.num_machines
+            [r for r, _ in arrivals],
+            {r.req_id: t for r, t in arrivals},
+            config.num_machines,
         )
         self.state.sim = self.sim
         self.state.expect_external = windowed
@@ -233,7 +219,6 @@ class _ShardRunner:
                 ),
                 name=f"machine-{m}",
             )
-        self._pending: list[tuple["Request", int, _Snapshot]] | None = None
 
     # -- coordinator protocol ------------------------------------------
     def advance(
@@ -248,13 +233,6 @@ class _ShardRunner:
         outbox = self.state.outbox
         self.state.outbox = []
         return outbox
-
-    def start_advance(self, until: float | None) -> None:
-        self._pending = self.advance(until)
-
-    def join_advance(self) -> list[tuple["Request", int, _Snapshot]]:
-        out, self._pending = self._pending, None
-        return out
 
     def deliver(
         self, transfers: list[tuple["Request", _Snapshot, int]]
@@ -297,100 +275,6 @@ class _ShardRunner:
     def mark_final(self) -> None:
         """No more windows: idle machines may park unboundedly again."""
         self.state.expect_external = False
-
-    def finish(self) -> dict:
-        state = self.state
-        return {
-            "records": dict(state.records),
-            "gpu_busy": list(state.machine_gpu_busy),
-            "dimm_busy": list(state.machine_dimm_busy),
-            "queue_samples": list(state.queue_samples),
-            "batch_samples": list(state.batch_samples),
-            "clamps": state.batch_limit_clamps,
-            "makespan": self.sim.now,
-            "events": (
-                list(self.tracer.events)
-                if self.tracer is not None
-                else None
-            ),
-        }
-
-
-def _shard_worker_main(conn, payload: dict) -> None:
-    """Worker-process entry: serve the coordinator's shard protocol."""
-    try:
-        runner = _ShardRunner(**payload)
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "advance":
-                conn.send(runner.advance(msg[1]))
-            elif op == "deliver":
-                runner.deliver(msg[1])
-                conn.send(None)
-            elif op == "extend":
-                runner.extend(msg[1])
-                conn.send(None)
-            elif op == "final":
-                runner.mark_final()
-                conn.send(None)
-            elif op == "finish":
-                conn.send(runner.finish())
-                conn.close()
-                return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown shard op {op!r}")
-    except BaseException:  # pragma: no cover - surfaced coordinator-side
-        try:
-            conn.send(("__shard_error__", traceback.format_exc()))
-        except Exception:
-            pass
-        raise
-
-
-class _ProcessShard:
-    """Coordinator-side handle to a spawned shard worker."""
-
-    def __init__(self, ctx, payload: dict) -> None:
-        parent, child = ctx.Pipe()
-        self.conn = parent
-        self.proc = ctx.Process(
-            target=_shard_worker_main, args=(child, payload)
-        )
-        self.proc.start()
-        child.close()
-
-    def _call(self, *msg):
-        self.conn.send(msg)
-        return self._recv()
-
-    def _recv(self):
-        out = self.conn.recv()
-        if (isinstance(out, tuple) and out
-                and out[0] == "__shard_error__"):
-            self.proc.join()
-            raise RuntimeError(f"shard worker failed:\n{out[1]}")
-        return out
-
-    def start_advance(self, until: float | None) -> None:
-        self.conn.send(("advance", until))
-
-    def join_advance(self):
-        return self._recv()
-
-    def deliver(self, transfers) -> None:
-        self._call("deliver", transfers)
-
-    def extend(self, batch) -> None:
-        self._call("extend", batch)
-
-    def mark_final(self) -> None:
-        self._call("final")
-
-    def finish(self) -> dict:
-        out = self._call("finish")
-        self.proc.join()
-        return out
 
 
 def _merge_samples(
@@ -515,40 +399,21 @@ def run_sharded(
             per_machine[target].append(request.arrival)
         return per_machine
 
-    payloads = [
-        dict(
-            model=cluster_sim.model,
-            policy=cluster_sim.policy,
-            slo=cluster_sim.slo,
-            machine=cluster_sim.base_machine,
-            hermes_config=cluster_sim._hermes_config,
-            trace=cluster_sim._trace,
-            granularity=cluster_sim._granularity,
-            seed=cluster_sim._seed,
-            config=cfg,
-            fleet=cluster_sim.fleet,
-            lo=lo,
-            hi=hi,
-            workload=[r for r, _ in initial[s_idx]],
-            targets={r.req_id: t for r, t in initial[s_idx]},
+    handles = [
+        _ShardRunner(
+            cluster_sim,
+            lo,
+            hi,
+            initial[s_idx],
             windowed=windowed,
             tracing=tracing,
             span_bounds=_bounds_for(s_idx, lo, hi),
         )
         for s_idx, (lo, hi) in enumerate(bounds)
     ]
-    if cfg.shard_processes:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        handles: list = [_ProcessShard(ctx, p) for p in payloads]
-    else:
-        handles = [_ShardRunner(**p) for p in payloads]
 
     def advance_all(until: float | None) -> list[list]:
-        for handle in handles:
-            handle.start_advance(until)
-        return [handle.join_advance() for handle in handles]
+        return [handle.advance(until) for handle in handles]
 
     coordinator_events: list = []
     for i, barrier in enumerate(barriers):
@@ -584,34 +449,30 @@ def run_sharded(
             for handle in handles:
                 handle.mark_final()
     advance_all(None)
-    results = [handle.finish() for handle in handles]
 
-    makespan = max(res["makespan"] for res in results)
+    states = [handle.state for handle in handles]
+    makespan = max(handle.sim.now for handle in handles)
     merged = types.SimpleNamespace(
         records={
-            r.req_id: results[owner[r.req_id]]["records"][r.req_id]
+            r.req_id: states[owner[r.req_id]].records[r.req_id]
             for r in ordered
         },
-        queue_samples=_merge_samples(
-            [res["queue_samples"] for res in results]
-        ),
-        batch_samples=_merge_samples(
-            [res["batch_samples"] for res in results]
-        ),
+        queue_samples=_merge_samples([st.queue_samples for st in states]),
+        batch_samples=_merge_samples([st.batch_samples for st in states]),
         machine_gpu_busy=[
-            sum(res["gpu_busy"][m] for res in results)
+            sum(st.machine_gpu_busy[m] for st in states)
             for m in range(machines)
         ],
         machine_dimm_busy=[
-            sum(res["dimm_busy"][m] for res in results)
+            sum(st.machine_dimm_busy[m] for st in states)
             for m in range(machines)
         ],
-        batch_limit_clamps=sum(res["clamps"] for res in results),
+        batch_limit_clamps=sum(st.batch_limit_clamps for st in states),
     )
     cluster_sim._last_router_name = router.name
     if tracing:
         tracer.emit(cluster_sim._run_started_event())
-        streams = [res["events"] for res in results]
+        streams = [handle.tracer.events for handle in handles]
         streams.append(coordinator_events)
         for event in heapq.merge(*streams, key=lambda e: e.time):
             tracer.emit(event)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 
 from ..serving import ActiveEntry, BatchingPolicy, MachineExecutor, Request
@@ -40,10 +41,11 @@ class PriorityClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("class name must be non-empty")
-        if self.ttft_slo is not None and self.ttft_slo <= 0:
-            raise ValueError("ttft_slo must be positive")
-        if self.tbt_slo is not None and self.tbt_slo <= 0:
-            raise ValueError("tbt_slo must be positive")
+        for key in ("ttft_slo", "tbt_slo"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{key} must be finite and positive, got {value!r}")
 
 
 #: the implicit class of untagged requests: priority 0, no SLOs

@@ -377,7 +377,6 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
             "macro_step",
             "fidelity",
             "shards",
-            "shard_processes",
             "router",
             "router_seed",
             "health_aware",

@@ -6,37 +6,38 @@ loop).  Each machine is one simulation process; it brackets engine work in
 Acquire/Release of a per-machine :class:`repro.sim.Resource` that marks the
 serialisation point for future intra-machine concurrency (e.g. chunked
 prefill as a separate process) — with the single process per machine today
-the resource is never contended.  The loop is the canonical
-iteration-level scheduler:
+the resource is never contended.  Each round of a machine's loop
+(:class:`_MachineLoop`) runs these phases:
 
-1. ingest arrivals into the machine's queue;
-2. (cluster only) preemptively evict a low-priority resident request when
-   a queued higher-priority prefill would otherwise miss its deadline;
-3. admit queued requests in policy order while the effective batch cap
-   (``min(max_batch, policy.batch_limit)``) has room, charging each
+1. fault/degrade: park through a crash, renegotiate after a degrade;
+2. admission: ingest arrivals, (cluster only) evict a low-priority
+   resident when a queued higher-priority prefill would otherwise miss
+   its deadline, then admit in policy order while the effective batch
+   cap (``min(max_batch, policy.batch_limit)``) has room, charging each
    admission's prefill on the machine;
-4. run one decode iteration for the whole resident batch (every request
-   gains one token; the engine sees the batch's mean context length);
-5. retire finished requests and repeat — or, when fully idle, sleep until
-   the next arrival.
+3. decode: run a *span* of iterations for the whole resident batch
+   (every request gains one token per iteration; the engine sees the
+   batch's mean context), then retire finished requests — or, with
+   nothing resident,
+4. idle: sleep until the next arrival, or exit.
 
-**Macro-stepping** (``ServingConfig.macro_step``, on by default): between
-two batch-composition changes the loop above is a straight-line token
-run — same batch, context growing by exactly one per step — so instead
-of one calendar event + one engine dispatch per token, the machine
-computes the *horizon* its composition is provably fixed for (the
-earliest deterministic completion via ``max_new_tokens``, the next
-arrival, and a conservative preemption-trigger bound from the
-preemptor) and runs the whole span as one fused
-:meth:`~repro.core.HermesSession.decode_steps` call, then replays the
-stepped loop's per-token event pattern at the precomputed boundary
-times (simultaneous events resolve by push order, and identical
-machines tie on exact boundary times constantly).  Per-token
-timestamps are back-filled from the span's sequentially-accumulated
-cost array, so records, busy accounting, queue samples and every
-scheduling decision are bit-for-bit identical to the step-at-a-time
-loop (kept as the ``macro_step=False`` reference path and pinned by
-the equivalence tests and golden files).
+**One decode body.**  Between two batch-composition changes the loop
+is a straight-line token run — same batch, context growing by exactly
+one per step — so the machine computes the *horizon* its composition
+is provably fixed for (the earliest deterministic completion, the next
+arrival, the preemptor's conservative trigger bound, fault boundaries)
+and runs it as one :meth:`ServingBackend.decode_span` call, then
+replays the per-token event pattern at the span's boundary times
+(simultaneous events resolve by push order, and identical machines tie
+on exact boundary times constantly).  Per-token timestamps are
+back-filled from the span's sequentially-accumulated cost array.
+``ServingConfig.macro_step=False`` caps every horizon at one step, as
+do a straggler slowdown and an opaque preemptor: the same body then
+runs one-step spans, and the span contract (fused == sequential steps)
+makes records, busy accounting, queue samples and every scheduling
+decision bit-for-bit independent of the horizon — pinned by the
+equivalence tests and golden files.  ``fidelity="fast"`` swaps the
+span for one closed-form ``span_estimate`` under the same horizon.
 
 Prefill blocks decode on the same machine (no chunked prefill), which is
 what creates the classic TTFT-vs-TBT tension the policies trade off.
@@ -104,9 +105,9 @@ class ServingConfig:
 
     max_batch: int = 16
     num_machines: int = 1
-    #: fuse straight-line token runs into one engine call + one calendar
-    #: event (see the module docstring); ``False`` keeps the per-token
-    #: reference loop, which the equivalence tests pin against
+    #: fuse straight-line token runs into one engine span (see the
+    #: module docstring); ``False`` caps every span at one step — same
+    #: body, same results, which the equivalence tests pin
     macro_step: bool = True
     #: deterministic fault timeline (crashes/stragglers/partitions) the
     #: run executes against; ``None`` keeps every fault branch
@@ -124,10 +125,6 @@ class ServingConfig:
     #: load-oblivious (``shardable``) router; see
     #: :mod:`repro.cluster.sharded`
     shards: int = 0
-    #: advance each shard in its own spawned worker process instead of
-    #: inline in the coordinator (identical results by construction —
-    #: the same shard code runs either way)
-    shard_processes: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -139,8 +136,6 @@ class ServingConfig:
                 f"fidelity must be 'exact' or 'fast', got {self.fidelity!r}")
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
-        if self.shard_processes and not self.shards:
-            raise ValueError("shard_processes requires shards >= 1")
 
 
 @dataclasses.dataclass(slots=True)
@@ -166,8 +161,8 @@ class Preemptor(typing.Protocol):
     bound on the first time ``victim`` could return non-``None`` while
     the queue and resident batch stay unchanged (``None`` = never under
     the current state).  A preemptor without it still works — the
-    simulator falls back to checking at every token boundary, i.e. the
-    stepped loop.
+    simulator falls back to checking at every token boundary (one-step
+    spans).
     """
 
     def victim(
@@ -299,15 +294,14 @@ class _RunState:
         self.span_bounds: dict[int, list[float]] | None = None
         self._span_bound_idx: dict[int, int] = {}
         #: health-monitor hook ``(machine, step_seconds, batch)`` called
-        #: at every decode boundary — identically placed in the stepped
-        #: and fused loops — when health-aware routing is on
+        #: at every decode boundary when health-aware routing is on
         self.observe_step: typing.Callable[[int, float, int], None] | None = (
             None
         )
         #: degrade hook ``(machine)`` called right after a machine
         #: renegotiates over partially failed hardware — the cluster
         #: layer rebinds throughput-weighted routers and rebaselines the
-        #: health monitor here (identically placed in both loops)
+        #: health monitor here
         self.on_degrade: typing.Callable[[int], None] | None = None
 
     def note_clamp(
@@ -319,8 +313,8 @@ class _RunState:
         machine keeps making progress, but silently repairing it would
         hide the bug, so it is surfaced as a warning and counted in the
         report.  The limit is constant while the batch composition is
-        unchanged, so one note per machine is exact (and identical
-        between the macro-stepped and per-token loops).
+        unchanged, so one note per machine is exact (and independent
+        of the span horizon).
         """
         if self._clamp_noted[m]:
             return
@@ -471,7 +465,7 @@ class ServingSimulator:
     """
 
     #: global index of this simulator's machine 0 — nonzero only inside
-    #: a shard worker, whose executors cover a slice of a larger fleet
+    #: a shard, whose executors cover a slice of a larger fleet
     #: but whose fault/health queries must use fleet-global machine ids
     _machine_offset = 0
 
@@ -497,7 +491,7 @@ class ServingSimulator:
                 self.model, granularity=granularity, seed=seed
             )
         #: ctor inputs retained so a sharded run can rebuild fleet
-        #: slices inside worker processes (see :mod:`repro.cluster.sharded`)
+        #: slices per shard (see :mod:`repro.cluster.sharded`)
         self.base_machine = machine
         self._trace = trace
         self._hermes_config = hermes_config
@@ -647,8 +641,8 @@ class ServingSimulator:
         :mod:`repro.telemetry`); the default :data:`NULL_TRACER` makes
         every emission site a single attribute check.  Tracing never
         perturbs the simulation: the report (and the stream itself) is
-        identical for any tracer, and identical between the macro-step
-        and per-token loops.
+        identical for any tracer and for any span horizon
+        (``macro_step`` on or off).
         """
         if not workload:
             raise ValueError("workload must be non-empty")
@@ -679,682 +673,553 @@ class ServingSimulator:
     def _machine_proc(self, sim: Simulator, state: _RunState, m: int,
                       executor: ServingBackend, resource: Resource):
         """Generator process for one machine's scheduling loop."""
-        cfg = self.config
-        policy = self._admission_policy()
-        preemptor = self._preemptor()
-        macro = cfg.macro_step
-        trigger_fn = (getattr(preemptor, "next_trigger", None)
-                      if preemptor is not None else None)
-        tracer = state.tracer
-        tracing = tracer.enabled
-        #: the fault timeline, or None — every fault branch below guards
-        #: on this so the fault-free hot path is untouched (pinned by
-        #: the goldens and the serving bench gate)
+        return _MachineLoop(self, sim, state, m, executor, resource).run()
+
+
+class _MachineLoop:
+    """One machine's scheduling loop, split into explicit phases.
+
+    Each round runs fault/degrade handling, admission (preemption plus
+    prefills), then decode — an exact span or a fast estimate — or the
+    idle park.  Phases that wait on the calendar are generators driven
+    by :meth:`run` through ``yield from`` and add no calendar events.
+    """
+
+    __slots__ = ("sim", "state", "m", "executor", "resource", "max_batch",
+                 "macro", "fast", "policy", "preemptor", "trigger_fn",
+                 "tracer", "tracing", "observe", "faults", "fh",
+                 "has_degrades", "applied_degrade", "last_health",
+                 "active")
+
+    def __init__(self, owner: ServingSimulator, sim: Simulator,
+                 state: _RunState, m: int, executor: ServingBackend,
+                 resource: Resource) -> None:
+        cfg = owner.config
         faults = cfg.faults
-        wake = state.wake_signals[m]
-        observe = state.observe_step
-        last_health: str | None = None
-        #: the cumulative degrade state already applied to the backend —
-        #: the loop top renegotiates whenever the schedule's state moves
-        #: past it (checked only when the schedule has degrades at all)
-        has_degrades = faults is not None and bool(faults.degrades)
-        applied_degrade = (1.0, 1.0)
-        #: memoised fault-boundary view — identical values to direct
-        #: schedule queries, refreshed only when a boundary is crossed
-        fh = _FaultHorizon(faults, m) if faults is not None else None
-        fast = cfg.fidelity == "fast"
-        active: list[ActiveEntry] = []
+        self.sim, self.state, self.m = sim, state, m
+        self.executor, self.resource = executor, resource
+        self.max_batch = cfg.max_batch
+        self.macro = cfg.macro_step
+        self.fast = cfg.fidelity == "fast"
+        self.policy = owner._admission_policy()
+        self.preemptor = owner._preemptor()
+        self.trigger_fn = getattr(self.preemptor, "next_trigger", None)
+        self.tracer = state.tracer
+        self.tracing = state.tracer.enabled
+        self.observe = state.observe_step
+        #: the fault timeline, or None — every fault branch guards on it,
+        #: so the fault-free hot path is untouched
+        self.faults = faults
+        self.fh = _FaultHorizon(faults, m) if faults is not None else None
+        self.has_degrades = faults is not None and bool(faults.degrades)
+        #: the cumulative degrade state already applied to the backend
+        self.applied_degrade = (1.0, 1.0)
+        self.last_health: str | None = None
+        self.active: list[ActiveEntry] = []
+
+    def run(self):
+        """The machine's process: phases until no work can arrive."""
+        sim = self.sim
+        faults = self.faults
         while True:
             if faults is not None:
-                if fh.at(sim.now).down_now:
-                    # ---- crash: kill residents, migrate, park ----
-                    now = sim.now
-                    if tracing:
-                        tracer.emit(MachineDown(
-                            time=now, machine=m, reason="crash"
-                        ))
-                        tracer.emit(MachineHealth(
-                            time=now, machine=m, state="down", slowdown=1.0
-                        ))
-                        last_health = "down"
-                    # snapshot the backlog *before* migrating residents:
-                    # a resident whose re-route lands back on this same
-                    # (dead) machine must not be swept up and counted as
-                    # a second migration for the same evacuation
-                    pending: list[Request] = []
-                    if len(state.queues) > 1:
-                        # routed mode: the dead machine's backlog is
-                        # re-routed too (the frontend still holds it)
-                        pending = list(state.queue_of(m))
-                        state.queue_of(m).clear()
-                        state.queued_count -= len(pending)
-                    if active:
-                        state.total_active -= len(active)
-                        state.active_counts[m] -= len(active)
-                        state.note_batch(now)
-                        for entry in active:
-                            state.migrate(entry.request, m, now)
-                        active = []
-                    for request in pending:
-                        state.migrate(request, m, now)
-                    up = faults.up_time(m, now)
-                    if up is None:
-                        # never restarts; unserved work stays queued and
-                        # is reported honestly as unfinished
+                if self.fh.at(sim.now).down_now:
+                    if not (yield from self._crash()):
                         return
-                    yield WaitUntil(up)
-                    executor.reset()
-                    if tracing:
-                        tracer.emit(MachineUp(
-                            time=sim.now,
-                            machine=m,
-                            warmup=faults.restart_warmup,
-                        ))
                     continue
-                if has_degrades:
-                    # ---- degrade: renegotiate, evict KV overflow ----
-                    # A degrade is a *state change at an instant*, not a
-                    # time-varying multiplier: both loops apply it at
-                    # the first loop top at or past the instant (spans
-                    # are bounded there via the exec transitions), so
-                    # fused==stepped holds exactly as across a restart.
-                    degrade = fh.at(sim.now).degrade
-                    if degrade != applied_degrade:
-                        applied_degrade = degrade
-                        executor.degrade(*degrade)
-                        evicted = 0
-                        capacity = executor.kv_capacity_tokens()
-                        if active:
-                            # keep the admission-order prefix that still
-                            # fits the shrunken KV pool; the overflow is
-                            # re-queued on this same machine (it did not
-                            # die — this is renegotiation, not
-                            # migration) and re-prefills on re-admission
-                            resident = 0.0
-                            kept: list[ActiveEntry] = []
-                            overflow: list[ActiveEntry] = []
-                            for entry in active:
-                                tokens = entry.next_context - 1
-                                if resident + tokens <= capacity:
-                                    resident += tokens
-                                    kept.append(entry)
-                                else:
-                                    overflow.append(entry)
-                            if overflow:
-                                active = kept
-                                evicted = len(overflow)
-                                state.total_active -= evicted
-                                state.active_counts[m] -= evicted
-                                state.note_batch(sim.now)
-                                for entry in overflow:
-                                    entry.record.needs_prefill = True
-                                    entry.record.migrations += 1
-                                    state.requeue(
-                                        m, entry.request, sim.now
-                                    )
-                                    if tracing:
-                                        # same KV-losing hop as a crash
-                                        # evacuation, except the request
-                                        # stays on its (renegotiated)
-                                        # machine in routed mode
-                                        tracer.emit(RequestMigrated(
-                                            time=sim.now,
-                                            req_id=entry.request.req_id,
-                                            from_machine=m,
-                                            to_machine=(
-                                                m if len(state.queues) > 1
-                                                else -1
-                                            ),
-                                            generated=len(
-                                                entry.record.token_times
-                                            ),
-                                        ))
-                                if len(state.queues) == 1:
-                                    # shared queue: an idle sibling may
-                                    # be parked — wake it to steal the
-                                    # evicted work, like a migration
-                                    for signal in state.wake_signals:
-                                        sim.fire(signal)
-                        if tracing:
-                            tracer.emit(MachineDegraded(
-                                time=sim.now,
-                                machine=m,
-                                surviving_dimm_fraction=degrade[0],
-                                bandwidth_factor=degrade[1],
-                                evicted=evicted,
-                            ))
-                        if state.on_degrade is not None:
-                            state.on_degrade(m)
-                if tracing:
-                    health = faults.health_state(m, sim.now)
-                    if health != last_health:
-                        last_health = health
-                        tracer.emit(MachineHealth(
-                            time=sim.now,
-                            machine=m,
-                            state=health,
-                            slowdown=faults.slowdown_at(m, sim.now),
-                        ))
-            state.ingest(sim.now)
-            queue = state.queue_of(m)
-
-            # ---- effective batch cap for this round ----
-            # clamped to >= 1: a policy returning 0 would otherwise wedge
-            # the machine (no admission, no decode, queue stranded) —
-            # the clamp is warned about and counted, not silent
-            raw_limit = policy.batch_limit(executor, cfg.max_batch)
-            if raw_limit < 1:
-                state.note_clamp(m, policy, raw_limit)
-            limit = max(1, min(cfg.max_batch, raw_limit))
-
-            # ---- preemptive admission (cluster SLO scheduling) ----
-            if preemptor is not None and queue and len(active) >= limit:
-                victim = preemptor.victim(sim.now, queue, active, executor)
-                if victim is not None:
-                    active.remove(victim)
-                    victim.record.preemptions += 1
-                    state.total_active -= 1
-                    state.active_counts[m] -= 1
-                    state.note_batch(sim.now)
-                    if tracing:
-                        tracer.emit(RequestPreempted(
-                            time=sim.now,
-                            req_id=victim.request.req_id,
-                            machine=m,
-                        ))
-                    state.requeue(m, victim.request, sim.now)
-
-            # ---- admission: fill the batch in policy order ----
-            # re-rank each admission: the queue changes under us while this
-            # machine yields (new arrivals, and sibling machines admitting
-            # from the same shared queue)
-            while len(active) < limit and queue:
-                request = queue.pop(policy.select(queue))
-                state.queued_count -= 1
-                state.note_queue(sim.now)
-                record = state.records[request.req_id]
-                record.machine = m
-                if record.prefill_start is None or record.needs_prefill:
-                    # a migrated request re-runs prefill over prompt +
-                    # generated tokens: the tokens survive (already
-                    # streamed) but the KV died with the crashed machine
-                    replay = (len(record.token_times)
-                              if record.needs_prefill else 0)
-                    record.needs_prefill = False
-                    if record.prefill_start is None:
-                        record.prefill_start = sim.now
-                    if tracing:
-                        tracer.emit(PrefillStarted(
-                            time=sim.now, req_id=request.req_id, machine=m
-                        ))
-                    yield Acquire(resource)
-                    compute, transfer = executor.prefill_cost(
-                        request.prompt_len + replay
-                    )
-                    if faults is None:
-                        yield Timeout(compute + transfer)
-                    else:
-                        h = fh.at(sim.now)
-                        factor = h.slowdown
-                        compute *= factor
-                        transfer *= factor
-                        crash = h.next_down
-                        if (crash is not None
-                                and sim.now + (compute + transfer) >= crash):
-                            # the crash lands mid-prefill: abort (no
-                            # cost charged, KV lost) and migrate the
-                            # half-prefilled request
-                            yield WaitUntil(crash)
-                            yield Release(resource)
-                            state.migrate(request, m, sim.now)
-                            break
-                        yield Timeout(compute + transfer)
-                    yield Release(resource)
-                    # only the compute part occupies the GPU; the KV push
-                    # is PCIe time (kept out of utilization, like decode's
-                    # syncs)
-                    state.machine_gpu_busy[m] += compute
-                    if tracing:
-                        tracer.emit(PrefillEnded(
-                            time=sim.now,
-                            req_id=request.req_id,
-                            machine=m,
-                            compute=compute,
-                            transfer=transfer,
-                        ))
-                else:
-                    # a preempted request re-joins — its KV state is
-                    # already resident, so re-admission is free
-                    if tracing:
-                        tracer.emit(RequestResumed(
-                            time=sim.now, req_id=request.req_id, machine=m
-                        ))
-                active.append(ActiveEntry(request, record,
-                                          admitted_at=sim.now))
-                state.total_active += 1
-                state.active_counts[m] += 1
-                state.note_batch(sim.now)
-                # arrivals during this prefill are admissible right away
-                state.ingest(sim.now)
-                queue = state.queue_of(m)
-
+                if (self.has_degrades and self.fh.at(sim.now).degrade
+                        != self.applied_degrade):
+                    self._degrade()
+                if self.tracing:
+                    self._note_health()
+            limit = self._preempt()
+            if limit:
+                yield from self._admit(limit)
             # a crash that landed during an admission prefill parks the
             # machine before it touches the (now stale) decode state
-            if faults is not None and faults.is_down(m, sim.now):
+            if faults is not None and faults.is_down(self.m, sim.now):
                 continue
+            if self.active:
+                if self.fast:
+                    yield from self._decode_fast()
+                else:
+                    yield from self._decode_exact()
+            elif not (yield from self._idle()):
+                return
 
-            # ---- fast fidelity: closed-form span aggregation ----
-            # One engine estimate and three calendar events per span,
-            # with uniform token spacing across it — distributionally
-            # close to exact (pinned by tolerance tests), never
-            # bit-equal to it.  Preemption/admission decisions happen
-            # only at span boundaries; the span is still bounded by
-            # arrivals, the preemptor trigger, and fault boundaries, so
-            # scheduling reacts at the same horizon granularity as the
-            # exact fused loop.
-            if active and fast:
-                batch = len(active)
-                ctx_sum = sum(a.next_context for a in active)
-                k = min(a.request.output_len - len(a.record.token_times)
-                        for a in active)
-                until = None
-                if preemptor is not None and queue:
-                    if trigger_fn is None:
-                        k = 1
-                    else:
-                        until = trigger_fn(sim.now, queue, active, executor)
-                # span-bounding arrival: with pre-routed targets
-                # (sharded), only an arrival destined to *this* machine
-                # needs a boundary here — admission is the only thing a
-                # boundary buys, and foreign arrivals can't join this
-                # batch.  Without targets, bound at the next global
-                # arrival like the exact fused loop.
-                if state.span_bounds is None:
-                    upcoming = state.next_arrival()
-                else:
-                    upcoming = state.next_span_bound(m, sim.now)
-                if upcoming is not None and (until is None
-                                             or upcoming < until):
-                    until = upcoming
-                factor = 1.0
-                crash = None
-                if faults is not None:
-                    h = fh.at(sim.now)
-                    factor = h.slowdown
-                    crash = h.next_down
-                    for bound in (h.exec_transition, h.any_disruption):
-                        if bound is not None and (until is None
-                                                  or bound < until):
-                            until = bound
-                start = sim.now
-                start_context = ctx_sum / batch
-                seconds, gpu_cost, dimm_cost = executor.span_estimate(
-                    batch, start_context, k)
-                if factor != 1.0:
-                    seconds *= factor
-                    gpu_cost *= factor
-                    dimm_cost *= factor
-                mean_step = seconds / k
-                if until is not None and k > 1 and start + seconds > until:
-                    # truncate to the first step whose completion
-                    # reaches the bound — the straddling step still
-                    # runs, mirroring the exact span contract
-                    k = max(1, min(k, int((until - start) / mean_step) + 1))
-                    seconds, gpu_cost, dimm_cost = executor.span_estimate(
-                        batch, start_context, k)
-                    if factor != 1.0:
-                        seconds *= factor
-                        gpu_cost *= factor
-                        dimm_cost *= factor
-                    mean_step = seconds / k
-                end = start + seconds
-                granted = k
-                if crash is not None and end >= crash:
-                    # only tokens completing before the crash are
-                    # granted; the machine parks at the crash instant
-                    granted = min(k, int(max(0.0, crash - start)
-                                         / mean_step))
-                    while (granted > 0
-                           and start + mean_step * granted >= crash):
-                        granted -= 1
-                    end = crash
-                yield Acquire(resource)
-                yield WaitUntil(end)
-                yield Release(resource)
-                if granted:
-                    frac = granted / k
-                    state.machine_gpu_busy[m] += gpu_cost * frac
-                    state.machine_dimm_busy[m] += dimm_cost * frac
-                    times = [start + mean_step * (i + 1)
-                             for i in range(granted)]
-                    for entry in active:
-                        entry.record.token_times.extend(times)
-                    if observe is not None:
-                        observe(m, mean_step, batch)
-                    if tracing:
-                        # one aggregate DecodeStep per span — fast mode
-                        # coarsens telemetry granularity by design
-                        tracer.emit(DecodeStep(
-                            time=times[-1],
-                            machine=m,
-                            batch=batch,
-                            seconds=mean_step * granted,
-                            gpu_busy=gpu_cost * frac,
-                            dimm_busy=dimm_cost * frac,
-                            swap_bytes=0.0,
-                            resident_bytes=0.0,
-                            req_ids=tuple(
-                                a.request.req_id for a in active),
-                        ))
-                now = sim.now
-                finished = [a for a in active if a.record.finished]
-                if finished:
-                    active = [a for a in active if not a.record.finished]
-                    state.total_active -= len(finished)
-                    state.active_counts[m] -= len(finished)
-                    state.note_batch(now)
-                    if tracing:
-                        for entry in finished:
-                            tracer.emit(RequestCompleted(
-                                time=now,
-                                req_id=entry.request.req_id,
-                                machine=m,
-                                tokens=len(entry.record.token_times),
-                            ))
-                continue
+    def _leave(self, count: int) -> None:
+        """Account ``count`` entries just removed from the batch."""
+        state = self.state
+        state.total_active -= count
+        state.active_counts[self.m] -= count
+        state.note_batch(self.sim.now)
 
-            # ---- continuous-batching decode ----
-            # A degraded (straggling) machine always steps per token:
-            # its scaled per-step costs evolve exactly like the
-            # reference loop's, so fused==stepped holds trivially
-            # through slowdown windows and fusion resumes when the
-            # window ends.
-            use_macro = macro
-            if faults is not None and use_macro and active:
-                if fh.at(sim.now).slowdown != 1.0:
-                    use_macro = False
-            span_plan = None
-            if active and use_macro:
-                # Precompute the span horizon.  The batch composition is
-                # provably fixed until the earliest deterministic
-                # completion; admission, routing and preemption
-                # decisions can additionally only change at the next
-                # arrival (when there is room, or when a preemptor's
-                # verdict may depend on the queue) or at the preemptor's
-                # trigger bound.  Every span also ends at the machine's
-                # first boundary past the next arrival: an arrival can
-                # admit (room), shift a preemption verdict, and — with
-                # router-fed per-machine queues — must be *routed*
-                # against the load snapshot of its arrival boundary.
-                # Bounding unconditionally also makes the ingest
-                # boundaries (hence ``queue_samples``) identical to the
-                # stepped loop's: an arrival is ingested at the first
-                # any-machine token boundary past it in both modes.
-                k_max = min(a.request.output_len - len(a.record.token_times)
-                            for a in active)
-                until = None
-                if preemptor is not None and queue:
-                    if trigger_fn is None:
-                        # opaque preemptor: check every boundary
-                        k_max = 1
-                    else:
-                        until = trigger_fn(sim.now, queue, active, executor)
-                upcoming = state.next_arrival()
-                if upcoming is not None and (
-                    until is None or upcoming < until
-                ):
-                    until = upcoming
-                if faults is not None:
-                    # fault boundaries bound spans exactly like arrivals:
-                    # our own crash/slowdown/degrade instants cannot land
-                    # inside a span's interior, and *any* machine's crash
-                    # (migration) or degrade (KV-overflow eviction) may
-                    # drop work into our queue, which the stepped loop
-                    # would notice at its next token boundary
-                    h = fh.at(sim.now)
-                    for bound in (h.exec_transition, h.any_disruption):
-                        if bound is not None and (
-                            until is None or bound < until
-                        ):
-                            until = bound
-                if until is not None:
-                    # size the context ramp from the backend's recent
-                    # step time: an under-sized span just ends at a
-                    # no-op boundary and a fresh span continues, so the
-                    # estimate never affects scheduling outcomes
-                    est = executor.last_step_seconds
-                    if est > 0.0:
-                        k_max = max(
-                            1, min(k_max, int((until - sim.now) / est) + 2)
-                        )
-                if k_max == 1:
-                    # a one-step span replays the stepped body's exact
-                    # event pattern anyway (decode_span == decode_step by
-                    # the span contract), and the stepped body skips the
-                    # span array machinery — bit-identical and cheaper,
-                    # which is what restores fused >= stepped under
-                    # active faults where most spans truncate to one step
-                    use_macro = False
-                else:
-                    span_plan = (k_max, until)
-            if active and not use_macro:
-                # reference path: one iteration per scheduling round
-                batch = len(active)
-                context = max(
-                    1, round(sum(a.next_context for a in active) / batch)
-                )
-                yield Acquire(resource)
-                cost = executor.decode_step(batch, context)
-                seconds = cost.seconds
-                gpu_cost = cost.gpu_busy
-                dimm_cost = cost.dimm_busy
-                if faults is None:
-                    yield Timeout(seconds)
-                else:
-                    # a straggler stretches the whole step; the cost is
-                    # quoted at the step's start, so a step straddling a
-                    # window boundary completes at its quoted cost —
-                    # exactly like a step straddling an arrival
-                    h = fh.at(sim.now)
-                    factor = h.slowdown
-                    seconds *= factor
-                    gpu_cost *= factor
-                    dimm_cost *= factor
-                    crash = h.next_down
-                    if crash is not None and sim.now + seconds >= crash:
-                        # the crash lands mid-step: abort — no token
-                        # granted, no busy time charged
-                        yield WaitUntil(crash)
-                        yield Release(resource)
-                        continue
-                    yield Timeout(seconds)
-                yield Release(resource)
-                state.machine_gpu_busy[m] += gpu_cost
-                state.machine_dimm_busy[m] += dimm_cost
-                if observe is not None:
-                    observe(m, seconds, batch)
-                now = sim.now
-                if tracing:
-                    tracer.emit(DecodeStep(
+    # ---- fault / degrade ----------------------------------------------
+    def _crash(self):
+        """Kill residents, migrate them and the backlog, park until the
+        restart.  Returns ``False`` when the machine never restarts."""
+        state = self.state
+        tracer = self.tracer
+        m = self.m
+        now = self.sim.now
+        if self.tracing:
+            tracer.emit(MachineDown(time=now, machine=m, reason="crash"))
+            tracer.emit(MachineHealth(
+                time=now, machine=m, state="down", slowdown=1.0))
+            self.last_health = "down"
+        # snapshot the backlog *before* migrating residents: a resident
+        # re-routed back onto this dead machine must not be swept up and
+        # counted as a second migration.  In routed mode the backlog is
+        # re-routed too (the frontend still holds it).
+        pending: list[Request] = []
+        if len(state.queues) > 1:
+            pending = list(state.queue_of(m))
+            state.queue_of(m).clear()
+            state.queued_count -= len(pending)
+        if self.active:
+            self._leave(len(self.active))
+            for entry in self.active:
+                state.migrate(entry.request, m, now)
+            self.active = []
+        for request in pending:
+            state.migrate(request, m, now)
+        up = self.faults.up_time(m, now)
+        if up is None:
+            # never restarts; unserved work stays queued and is
+            # reported honestly as unfinished
+            return False
+        yield WaitUntil(up)
+        self.executor.reset()
+        if self.tracing:
+            tracer.emit(MachineUp(time=self.sim.now, machine=m,
+                                  warmup=self.faults.restart_warmup))
+        return True
+
+    def _degrade(self) -> None:
+        """Renegotiate over partially failed hardware; evict KV overflow.
+
+        A degrade is a *state change at an instant*: it applies at the
+        first loop top at or past the instant (spans are bounded there
+        via the exec transitions), whatever the span horizon.
+        """
+        state = self.state
+        m = self.m
+        now = self.sim.now
+        degrade = self.applied_degrade = self.fh.at(now).degrade
+        self.executor.degrade(*degrade)
+        capacity = self.executor.kv_capacity_tokens()
+        routed = len(state.queues) > 1
+        # keep the admission-order prefix that still fits the shrunken
+        # KV pool; the overflow is re-queued on this same machine (it
+        # did not die — renegotiation, not migration) and re-prefills
+        resident = 0.0
+        kept: list[ActiveEntry] = []
+        overflow: list[ActiveEntry] = []
+        for entry in self.active:
+            tokens = entry.next_context - 1
+            if resident + tokens <= capacity:
+                resident += tokens
+                kept.append(entry)
+            else:
+                overflow.append(entry)
+        if overflow:
+            self.active = kept
+            self._leave(len(overflow))
+            for entry in overflow:
+                entry.record.needs_prefill = True
+                entry.record.migrations += 1
+                state.requeue(m, entry.request, now)
+                if self.tracing:
+                    # the same KV-losing hop as a crash evacuation
+                    self.tracer.emit(RequestMigrated(
                         time=now,
-                        machine=m,
-                        batch=batch,
-                        seconds=seconds,
-                        gpu_busy=gpu_cost,
-                        dimm_busy=dimm_cost,
-                        swap_bytes=cost.swap_bytes,
-                        resident_bytes=cost.resident_bytes,
-                        req_ids=tuple(
-                            a.request.req_id for a in active
-                        ),
+                        req_id=entry.request.req_id,
+                        from_machine=m,
+                        to_machine=m if routed else -1,
+                        generated=len(entry.record.token_times),
                     ))
-                for entry in active:
-                    entry.record.token_times.append(now)
-                finished = [a for a in active if a.record.finished]
-                if finished:
-                    active = [a for a in active if not a.record.finished]
-                    state.total_active -= len(finished)
-                    state.active_counts[m] -= len(finished)
-                    state.note_batch(now)
-                    if tracing:
-                        for entry in finished:
-                            tracer.emit(RequestCompleted(
-                                time=now,
-                                req_id=entry.request.req_id,
-                                machine=m,
-                                tokens=len(entry.record.token_times),
-                            ))
-                continue
+            if not routed:
+                # shared queue: wake parked siblings to steal the work
+                for signal in state.wake_signals:
+                    self.sim.fire(signal)
+        if self.tracing:
+            self.tracer.emit(MachineDegraded(
+                time=now,
+                machine=m,
+                surviving_dimm_fraction=degrade[0],
+                bandwidth_factor=degrade[1],
+                evicted=len(overflow),
+            ))
+        if state.on_degrade is not None:
+            state.on_degrade(m)
 
-            if active:
-                # ---- macro step: one fused engine call per span ----
-                # Contexts form an arithmetic ramp: every resident
-                # request gains exactly one token per iteration, so the
-                # mean context the engine sees grows by one per step.
-                # The span horizon (``k_max``, ``until``) was
-                # precomputed above.
-                batch = len(active)
-                ctx_sum = sum(a.next_context for a in active)
-                k_max, until = span_plan
-                contexts = [max(1, round((ctx_sum + i * batch) / batch))
-                            for i in range(k_max)]
-                span = executor.decode_span(
-                    batch, contexts, start_time=sim.now, until=until
-                )
-                times = span.end_times.tolist()
-                # Replay the stepped loop's exact per-step event pattern
-                # (Acquire -> sleep-to-boundary -> Release).  The span's
-                # engine work is already done, but shared-queue machines
-                # resolve *simultaneous* events by push order, and
-                # identical machines tie on exact boundary times
-                # constantly — one big sleep would enqueue this
-                # machine's wake-up earlier than the stepped loop would
-                # have, flipping tie-breaks.  WaitUntil (not Timeout)
-                # lands each wake-up on the bit-exact boundary.
-                # Telemetry replays one DecodeStep per boundary from the
-                # span's per-step cost arrays — bit-equal to the stepped
-                # loop's emissions by the span contract, and emitted at
-                # the same point of the wake-up (between this boundary's
-                # Release and the next Acquire).  Intermediate span
-                # boundaries provably admit/ingest/preempt nothing, so
-                # the full event stream matches the stepped loop's.
-                req_ids = (tuple(a.request.req_id for a in active)
-                           if tracing else ())
-                crash = (fh.at(sim.now).next_down
-                         if faults is not None else None)
-                span_seconds = (span.seconds.tolist()
-                                if observe is not None else None)
-                granted = len(times)
-                for i, boundary in enumerate(times):
-                    yield Acquire(resource)
-                    if crash is not None and boundary >= crash:
-                        # the crash lands inside this boundary's step:
-                        # abort the remainder of the replay — no tokens
-                        # granted, no busy charged past this point (the
-                        # backend's engine-state overshoot is harmless:
-                        # restart resets it, matching the stepped loop)
+    def _note_health(self) -> None:
+        """Emit a ``MachineHealth`` event when the health state moved."""
+        now = self.sim.now
+        health = self.faults.health_state(self.m, now)
+        if health != self.last_health:
+            self.last_health = health
+            self.tracer.emit(MachineHealth(
+                time=now, machine=self.m, state=health,
+                slowdown=self.faults.slowdown_at(self.m, now)))
+
+    # ---- admission ----------------------------------------------------
+    def _preempt(self) -> int:
+        """Ingest arrivals and evict a resident for a deadline-threatened
+        queue head; returns the round's batch cap when queued work has
+        room to admit, else 0."""
+        now = self.sim.now
+        state = self.state
+        m = self.m
+        policy = self.policy
+        active = self.active
+        state.ingest(now)
+        queue = state.queue_of(m)
+        # clamped to >= 1: a policy returning 0 would otherwise wedge
+        # the machine — the clamp is warned about and counted
+        raw_limit = policy.batch_limit(self.executor, self.max_batch)
+        if raw_limit < 1:
+            state.note_clamp(m, policy, raw_limit)
+        limit = max(1, min(self.max_batch, raw_limit))
+        if self.preemptor is not None and queue and len(active) >= limit:
+            victim = self.preemptor.victim(now, queue, active, self.executor)
+            if victim is not None:
+                active.remove(victim)
+                victim.record.preemptions += 1
+                self._leave(1)
+                if self.tracing:
+                    self.tracer.emit(RequestPreempted(
+                        time=now, req_id=victim.request.req_id, machine=m))
+                state.requeue(m, victim.request, now)
+        return limit if queue and len(active) < limit else 0
+
+    def _admit(self, limit: int):
+        """Fill the batch in policy order, charging each prefill."""
+        sim = self.sim
+        state = self.state
+        m = self.m
+        executor = self.executor
+        policy = self.policy
+        tracer = self.tracer
+        tracing = self.tracing
+        resource = self.resource
+        active = self.active
+        queue = state.queue_of(m)
+        # re-rank each admission: the queue changes under us while this
+        # machine yields (new arrivals, siblings admitting from a shared
+        # queue)
+        while len(active) < limit and queue:
+            request = queue.pop(policy.select(queue))
+            state.queued_count -= 1
+            state.note_queue(sim.now)
+            record = state.records[request.req_id]
+            record.machine = m
+            if record.prefill_start is None or record.needs_prefill:
+                # a migrated request re-prefills prompt + generated
+                # tokens: the tokens survive (already streamed) but the
+                # KV died with the crashed machine
+                replay = (len(record.token_times)
+                          if record.needs_prefill else 0)
+                record.needs_prefill = False
+                if record.prefill_start is None:
+                    record.prefill_start = sim.now
+                if tracing:
+                    tracer.emit(PrefillStarted(
+                        time=sim.now, req_id=request.req_id, machine=m))
+                yield Acquire(resource)
+                compute, transfer = executor.prefill_cost(
+                    request.prompt_len + replay)
+                if self.faults is not None:
+                    h = self.fh.at(sim.now)
+                    compute *= h.slowdown
+                    transfer *= h.slowdown
+                    crash = h.next_down
+                    if (crash is not None
+                            and sim.now + (compute + transfer) >= crash):
+                        # the crash lands mid-prefill: abort (no cost
+                        # charged, KV lost) and migrate the request
                         yield WaitUntil(crash)
                         yield Release(resource)
-                        granted = i
-                        break
-                    yield WaitUntil(boundary)
-                    yield Release(resource)
-                    if observe is not None:
-                        observe(m, span_seconds[i], batch)
-                    if tracing:
-                        cost = span.step(i)
-                        tracer.emit(DecodeStep(
-                            time=boundary,
-                            machine=m,
-                            batch=batch,
-                            seconds=cost.seconds,
-                            gpu_busy=cost.gpu_busy,
-                            dimm_busy=cost.dimm_busy,
-                            swap_bytes=cost.swap_bytes,
-                            resident_bytes=cost.resident_bytes,
-                            req_ids=req_ids,
-                        ))
-                if granted != len(times):
-                    times = times[:granted]
-                gpu_busy = state.machine_gpu_busy
-                dimm_busy = state.machine_dimm_busy
-                for g, d in zip(
-                    span.gpu_busy.tolist()[:granted],
-                    span.dimm_busy.tolist()[:granted],
-                ):
-                    gpu_busy[m] += g
-                    dimm_busy[m] += d
-                for entry in active:
-                    entry.record.token_times.extend(times)
-                now = sim.now
-                finished = [a for a in active if a.record.finished]
-                if finished:
-                    active = [a for a in active if not a.record.finished]
-                    state.total_active -= len(finished)
-                    state.active_counts[m] -= len(finished)
-                    state.note_batch(now)
-                    if tracing:
-                        for entry in finished:
-                            tracer.emit(RequestCompleted(
-                                time=now,
-                                req_id=entry.request.req_id,
-                                machine=m,
-                                tokens=len(entry.record.token_times),
-                            ))
-                continue
+                        state.migrate(request, m, sim.now)
+                        return
+                yield Timeout(compute + transfer)
+                yield Release(resource)
+                # only the compute part occupies the GPU; the KV push is
+                # PCIe time (kept out of utilization, like decode's syncs)
+                state.machine_gpu_busy[m] += compute
+                if tracing:
+                    tracer.emit(PrefillEnded(
+                        time=sim.now, req_id=request.req_id, machine=m,
+                        compute=compute, transfer=transfer))
+            elif tracing:
+                # a preempted request re-joins with its KV still
+                # resident, so re-admission is free
+                tracer.emit(RequestResumed(
+                    time=sim.now, req_id=request.req_id, machine=m))
+            active.append(ActiveEntry(request, record, admitted_at=sim.now))
+            state.total_active += 1
+            state.active_counts[m] += 1
+            state.note_batch(sim.now)
+            # arrivals during this prefill are admissible right away
+            state.ingest(sim.now)
 
-            # ---- idle: sleep until the next arrival, or exit ----
-            # (reaching here implies this machine's queue is empty: with no
-            # resident batch the admission loop drains the queue first)
-            # With pre-routed targets (sharded fast mode) an idle
-            # machine only needs to wake for its *own* arrivals — the
-            # destination of every other arrival is awake at that
-            # instant and ingests it itself, so skipping foreign
-            # wakeups changes no scheduling decision and removes the
-            # idle fleet's thundering herd at every arrival.
-            if state.span_bounds is None:
-                upcoming = state.next_arrival()
+    # ---- decode -------------------------------------------------------
+    def _next_arrival(self, now: float) -> float | None:
+        """The next arrival this machine must wake for: with pre-routed
+        targets (sharded fast mode) only its own — a foreign arrival can
+        never join this batch — otherwise any."""
+        state = self.state
+        if state.span_bounds is None:
+            return state.next_arrival()
+        return state.next_span_bound(self.m, now)
+
+    def _span_horizon(self, now: float) -> tuple[int, float | None]:
+        """``(steps, until)``: how long the resident batch stays fixed.
+
+        The composition is provably fixed until the earliest
+        deterministic completion (``steps``).  Admission, routing and
+        preemption can additionally change only at the next arrival (it
+        can admit, shift a preemption verdict, and must be *routed*
+        against its arrival boundary's loads), the preemptor's trigger
+        bound, and fault boundaries: our own crash, slowdown and degrade
+        instants, and any machine's crash or degrade, which may drop
+        work into our queue.  A span ends at its first boundary reaching
+        ``until``; an opaque preemptor caps it at one step.
+        """
+        active = self.active
+        steps = min(a.request.output_len - len(a.record.token_times)
+                    for a in active)
+        until = None
+        queue = (self.state.queue_of(self.m)
+                 if self.preemptor is not None else None)
+        if queue:
+            if self.trigger_fn is None:
+                steps = 1
             else:
-                upcoming = state.next_span_bound(m, sim.now)
-            if faults is None:
-                if upcoming is None:
-                    break
-                # absolute wake: ``Timeout(upcoming - now)`` re-rounds,
-                # so the instant a machine lands on would depend on how
-                # many intermediate wakes it made — and a shard worker
-                # (which skips foreign-arrival hops) could drift a ULP
-                # from the reference.  ``WaitUntil`` is hop-independent.
-                yield WaitUntil(upcoming)
-                continue
-            # Under faults, idle sleeps are interruptible (a crashing
-            # peer fires our wake signal when it migrates work over) and
-            # bounded by the fleet's next crash instant — the only fault
-            # event that can create work for an idle machine, and the
-            # event that parks us when it is our own.  With no arrivals,
-            # no in-flight work left anywhere, and none of our *own*
-            # transitions outstanding, park unboundedly instead:
-            # trailing fault windows on other machines then don't
-            # stretch the calendar past the last real serving event, and
-            # a late migration out of an aborted prefill still wakes us.
-            # (Our own future crash keeps the park bounded so the
-            # restart is witnessed — down/up telemetry and the engine
-            # reset happen whether or not the fleet is idle, which is
-            # also what lets a sharded run replay this machine without
-            # knowing the other shards' idleness.)
-            if (upcoming is None and state.total_active == 0
-                    and state.queued_total() == 0
-                    and not state.expect_external
-                    and faults.next_exec_transition(m, sim.now) is None):
-                yield WaitSignal(wake)
-                continue
-            boundary = faults.next_any_disruption(sim.now, strict=True)
-            if upcoming is None and boundary is None:
-                yield WaitSignal(wake)
-                continue
+                until = self.trigger_fn(now, queue, active, self.executor)
+        upcoming = self._next_arrival(now)
+        if upcoming is not None and (until is None or upcoming < until):
+            until = upcoming
+        if self.faults is not None:
+            h = self.fh.at(now)
+            for bound in (h.exec_transition, h.any_disruption):
+                if bound is not None and (until is None or bound < until):
+                    until = bound
+        return steps, until
+
+    def _retire(self) -> None:
+        """Drop finished requests from the batch and report them."""
+        finished = [a for a in self.active if a.record.finished]
+        if not finished:
+            return
+        self.active = [a for a in self.active if not a.record.finished]
+        self._leave(len(finished))
+        if self.tracing:
+            now = self.sim.now
+            for entry in finished:
+                self.tracer.emit(RequestCompleted(
+                    time=now, req_id=entry.request.req_id, machine=self.m,
+                    tokens=len(entry.record.token_times)))
+
+    def _decode_exact(self):
+        """One engine span over the resident batch, replayed per token.
+
+        The horizon is one step with macro-stepping off, under a
+        straggler slowdown (fusion resumes when the window ends), and
+        for an opaque preemptor; otherwise :meth:`_span_horizon`.
+        Contexts form an arithmetic ramp: every resident request gains
+        exactly one token per iteration.
+        """
+        sim = self.sim
+        executor = self.executor
+        resource = self.resource
+        active = self.active
+        m = self.m
+        start = sim.now
+        factor = 1.0
+        crash = None
+        if self.faults is not None:
+            h = self.fh.at(start)
+            factor = h.slowdown
+            crash = h.next_down
+        if not self.macro or factor != 1.0:
+            steps, until = 1, None
+        else:
+            steps, until = self._span_horizon(start)
+            # size the ramp from the recent step time: an undersized span
+            # ends at a no-op boundary and a fresh one continues, so this
+            # never affects outcomes
+            est = executor.last_step_seconds if until is not None else 0.0
+            if est > 0.0:
+                steps = max(1, min(steps, int((until - start) / est) + 2))
+        batch = len(active)
+        ctx_sum = sum(a.next_context for a in active)
+        contexts = [max(1, round((ctx_sum + i * batch) / batch))
+                    for i in range(steps)]
+        span = executor.decode_span(
+            batch, contexts, start_time=start, until=until)
+        seconds = span.seconds.tolist()
+        gpu_costs = span.gpu_busy.tolist()
+        dimm_costs = span.dimm_busy.tolist()
+        if factor == 1.0:
+            times = span.end_times.tolist()
+        else:
+            # a straggler stretches its one-step span, quoted at the
+            # step's start (a step straddling the window's end completes
+            # at its quoted cost, like one straddling an arrival)
+            seconds = [seconds[0] * factor]
+            gpu_costs = [gpu_costs[0] * factor]
+            dimm_costs = [dimm_costs[0] * factor]
+            times = [start + seconds[0]]
+        # Replay the per-step event pattern (Acquire -> sleep to the
+        # boundary -> Release): machines resolve *simultaneous* events
+        # by push order and identical machines tie on exact boundaries,
+        # so one big sleep would flip tie-breaks.  WaitUntil lands each
+        # wake-up on the bit-exact boundary, and each boundary's
+        # DecodeStep is emitted between its Release and the next
+        # Acquire.  Intermediate boundaries provably admit, ingest and
+        # preempt nothing, so the event stream is horizon-independent.
+        tracing = self.tracing
+        observe = self.observe
+        req_ids = tuple(a.request.req_id for a in active) if tracing else ()
+        granted = len(times)
+        for i, boundary in enumerate(times):
+            yield Acquire(resource)
+            if crash is not None and boundary >= crash:
+                # the crash lands inside this step: no tokens or busy
+                # time past this point (the restart resets the engine
+                # state the span overshot)
+                yield WaitUntil(crash)
+                yield Release(resource)
+                granted = i
+                break
+            yield WaitUntil(boundary)
+            yield Release(resource)
+            if observe is not None:
+                observe(m, seconds[i], batch)
+            if tracing:
+                cost = span.step(i)
+                self.tracer.emit(DecodeStep(
+                    time=boundary, machine=m, batch=batch,
+                    seconds=seconds[i], gpu_busy=gpu_costs[i],
+                    dimm_busy=dimm_costs[i], swap_bytes=cost.swap_bytes,
+                    resident_bytes=cost.resident_bytes, req_ids=req_ids))
+        gpu_busy = self.state.machine_gpu_busy
+        dimm_busy = self.state.machine_dimm_busy
+        for g, d in zip(gpu_costs[:granted], dimm_costs[:granted]):
+            gpu_busy[m] += g
+            dimm_busy[m] += d
+        if granted != len(times):
+            times = times[:granted]
+        for entry in active:
+            entry.record.token_times.extend(times)
+        self._retire()
+
+    def _decode_fast(self):
+        """Fast fidelity: one closed-form estimate per span.
+
+        One engine estimate and three calendar events per span, with
+        uniform token spacing — distributionally close to exact (pinned
+        by tolerance tests), never bit-equal to it.  Spans are bounded
+        by :meth:`_span_horizon`, as in exact mode.
+        """
+        executor = self.executor
+        active = self.active
+        m = self.m
+        start = self.sim.now
+        k, until = self._span_horizon(start)
+        factor = 1.0
+        crash = None
+        if self.faults is not None:
+            h = self.fh.at(start)
+            factor = h.slowdown
+            crash = h.next_down
+        batch = len(active)
+        start_context = sum(a.next_context for a in active) / batch
+        seconds, gpu_cost, dimm_cost = executor.span_estimate(
+            batch, start_context, k)
+        if until is not None and k > 1 and start + seconds * factor > until:
+            # truncate to the first step whose completion reaches the
+            # bound — the straddling step still runs, as in exact mode
+            mean_step = seconds * factor / k
+            k = max(1, min(k, int((until - start) / mean_step) + 1))
+            seconds, gpu_cost, dimm_cost = executor.span_estimate(
+                batch, start_context, k)
+        if factor != 1.0:
+            seconds *= factor
+            gpu_cost *= factor
+            dimm_cost *= factor
+        mean_step = seconds / k
+        end = start + seconds
+        granted = k
+        if crash is not None and end >= crash:
+            # only tokens completing before the crash are granted; the
+            # machine parks at the crash instant
+            granted = min(k, int(max(0.0, crash - start) / mean_step))
+            while granted > 0 and start + mean_step * granted >= crash:
+                granted -= 1
+            end = crash
+        yield Acquire(self.resource)
+        yield WaitUntil(end)
+        yield Release(self.resource)
+        if granted:
+            frac = granted / k
+            self.state.machine_gpu_busy[m] += gpu_cost * frac
+            self.state.machine_dimm_busy[m] += dimm_cost * frac
+            times = [start + mean_step * (i + 1) for i in range(granted)]
+            for entry in active:
+                entry.record.token_times.extend(times)
+            if self.observe is not None:
+                self.observe(m, mean_step, batch)
+            if self.tracing:
+                # one aggregate DecodeStep per span, by design
+                self.tracer.emit(DecodeStep(
+                    time=times[-1], machine=m, batch=batch,
+                    seconds=mean_step * granted, gpu_busy=gpu_cost * frac,
+                    dimm_busy=dimm_cost * frac, swap_bytes=0.0,
+                    resident_bytes=0.0,
+                    req_ids=tuple(a.request.req_id for a in active)))
+        self._retire()
+
+    # ---- idle ---------------------------------------------------------
+    def _idle(self):
+        """Sleep until work can arrive; ``False`` when none ever can.
+
+        The queue is empty here: with no resident batch the admission
+        phase drains it first.  With pre-routed targets an idle machine
+        wakes only for its own arrivals, which removes the idle fleet's
+        thundering herd at every arrival.
+        """
+        sim = self.sim
+        state = self.state
+        faults = self.faults
+        upcoming = self._next_arrival(sim.now)
+        if faults is None:
             if upcoming is None:
-                target = boundary
-            elif boundary is None:
-                target = upcoming
-            else:
-                target = min(upcoming, boundary)
-            yield WaitSignal(wake, until=target)
+                return False
+            # absolute wake: ``Timeout(upcoming - now)`` re-rounds, so a
+            # shard (which skips foreign-arrival hops) could drift a ULP
+            # from the reference; ``WaitUntil`` is hop-independent
+            yield WaitUntil(upcoming)
+            return True
+        # Under faults, idle sleeps are interruptible (a crashing peer
+        # fires our wake signal when it migrates work over) and bounded
+        # by the fleet's next disruption — the only fault event that can
+        # create work for an idle machine.  With no arrivals, no work
+        # left anywhere and none of our *own* transitions outstanding,
+        # park unboundedly instead, so trailing fault windows elsewhere
+        # don't stretch the calendar.  (Our own future crash keeps the
+        # park bounded so the restart is witnessed whether or not the
+        # fleet is idle, which also lets a shard replay this machine
+        # without knowing the other shards' idleness.)
+        wake = state.wake_signals[self.m]
+        if (upcoming is None and state.total_active == 0
+                and state.queued_total() == 0
+                and not state.expect_external
+                and faults.next_exec_transition(self.m, sim.now) is None):
+            yield WaitSignal(wake)
+            return True
+        boundary = faults.next_any_disruption(sim.now, strict=True)
+        bounds = [b for b in (upcoming, boundary) if b is not None]
+        yield WaitSignal(wake, until=min(bounds) if bounds else None)
+        return True

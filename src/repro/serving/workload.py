@@ -18,6 +18,7 @@ through :func:`workload_from_arrivals`.  Everything is driven by a seeded
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -117,8 +118,9 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.arrival!r}")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(
+                f"rate must be finite and positive, got {self.rate!r}")
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
         if self.arrival == "bursty":

@@ -100,8 +100,11 @@ class TestSLOPolicy:
                                  output_len=1, class_name="zz"))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PriorityClass(name="x", ttft_slo=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ttft_slo"):
+                PriorityClass(name="x", ttft_slo=bad)
+            with pytest.raises(ValueError, match="tbt_slo"):
+                PriorityClass(name="x", tbt_slo=bad)
         with pytest.raises(ValueError):
             PriorityClass(name="")
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ Three layers of pinning:
   residency, DIMM mapping, RunResult accumulators), swept over
   hypothesis-generated batch/context schedules;
 * serving — a multi-machine shared-queue simulation with
-  ``macro_step=True`` equals ``macro_step=False`` record-for-record;
+  ``macro_step=True`` (horizon-K spans) equals ``macro_step=False``
+  (one-step spans through the same decode body) record-for-record;
 * cluster — the preemptive SLO smoke scenario (routers + priority
   classes + deadline preemption) equals its stepped run, including
   preemption counts and per-token timestamps.
@@ -390,6 +391,66 @@ class TestServingMacroEquivalence:
         assert fused.preemptions == stepped.preemptions
         assert fused.preemptions > 0  # the scenario must exercise it
         _assert_reports_equal(fused, stepped)
+
+
+class _SpyBackend:
+    """Delegating backend proxy recording the decode entry points."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.step_calls = 0
+        #: (contexts requested, steps executed) per ``decode_span`` call
+        self.spans = []
+
+    def decode_step(self, batch, context):
+        self.step_calls += 1
+        return self._inner.decode_step(batch, context)
+
+    def decode_span(self, batch, contexts, **kwargs):
+        span = self._inner.decode_span(batch, contexts, **kwargs)
+        self.spans.append((len(contexts), len(span)))
+        return span
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestSingleDecodePrimitive:
+    """The exact loop decodes only through ``decode_span``; turning
+    macro-stepping off caps every span at one step."""
+
+    @pytest.mark.parametrize("straggler", [False, True])
+    def test_exact_loop_decodes_only_through_spans(self, straggler):
+        from repro.serving.faults import FaultSchedule, StragglerSpec
+
+        faults = (
+            FaultSchedule(stragglers=(StragglerSpec(0, 0.004, 0.008, 2.0),))
+            if straggler else None
+        )
+        workload = generate_workload(
+            WorkloadConfig(rate=2000.0, num_requests=24,
+                           prompt_lens=LengthDistribution(mean=24),
+                           output_lens=LengthDistribution(
+                               kind="uniform", mean=12, low=4, high=20)),
+            seed=9)
+        reports = {}
+        spans = {}
+        for macro in (True, False):
+            simulator = ServingSimulator(
+                "tiny-test", "fcfs",
+                ServingConfig(max_batch=6, num_machines=2,
+                              macro_step=macro, faults=faults),
+                trace=_trace())
+            spies = [_SpyBackend(e) for e in simulator.executors]
+            simulator.executors = spies
+            reports[macro] = simulator.run(list(workload))
+            assert all(spy.step_calls == 0 for spy in spies)
+            spans[macro] = [span for spy in spies for span in spy.spans]
+        assert spans[False] and set(spans[False]) == {(1, 1)}
+        assert max(steps for _, steps in spans[True]) > 1
+        # the same decode iterations, fused or one at a time
+        assert len(spans[False]) == sum(steps for _, steps in spans[True])
+        _assert_reports_equal(reports[True], reports[False])
 
 
 # ----------------------------------------------------------------------

@@ -101,8 +101,9 @@ class TestWorkload:
             workload_from_arrivals([1.0, 0.5], 64, 8)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(rate=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate"):
+                WorkloadConfig(rate=rate)
         with pytest.raises(ValueError):
             WorkloadConfig(arrival="sinusoid")
         with pytest.raises(ValueError):
