@@ -132,15 +132,17 @@ class PredictionStats:
     false_negative: int = 0
 
     def update(self, predicted: np.ndarray, actual: np.ndarray) -> None:
-        # Three count_nonzero passes instead of four logical_and+sum
-        # temporaries; the derived counts are the same integers.
-        tp = int(np.count_nonzero(predicted & actual))
-        n_pred = int(np.count_nonzero(predicted))
-        n_act = int(np.count_nonzero(actual))
+        self.fold(int(np.count_nonzero(predicted & actual)),
+                  int(np.count_nonzero(predicted)),
+                  int(np.count_nonzero(actual)), predicted.size)
+
+    def fold(self, tp: int, n_pred: int, n_act: int, size: int) -> None:
+        """Fold one outcome given as counts: true positives, predicted
+        and actual positives, out of ``size`` cells."""
         self.true_positive += tp
         self.false_positive += n_pred - tp
         self.false_negative += n_act - tp
-        self.true_negative += predicted.size - n_pred - n_act + tp
+        self.true_negative += size - n_pred - n_act + tp
 
     @property
     def total(self) -> int:
@@ -168,6 +170,94 @@ class PredictionStats:
         return self.true_positive / predicted
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class TraceTables:
+    """Every trace-only input of the decode-step predictor.
+
+    The layer-wise term, the state-table deltas and the activation
+    counts depend only on the immutable trace, never on a session's
+    evolving state, so one set per trace and predictor key is shared by
+    every session over that trace (see :func:`trace_tables`).  Per-token
+    arrays are indexed by decode token: row ``i`` is trace token
+    ``prompt_len + i``.
+    """
+
+    #: (layers, groups) state table initialised from prefill frequencies
+    initial_states: np.ndarray
+    #: the correlation table, or None without layer-wise prediction
+    correlation: CorrelationTable | None
+    #: (decode tokens, layers, groups) int8 count of correlated parents
+    #: that fired in the previous layer; None without layer prediction
+    s2: np.ndarray | None
+    #: (decode tokens, layers, groups) pre-clip state deltas
+    deltas: np.ndarray
+    #: view of the trace's decode activations, (tokens, layers, groups)
+    actuals: np.ndarray
+    #: number of active groups per decode token
+    active_counts: list[int]
+
+
+def trace_tables(trace: ActivationTrace, config: PredictorConfig,
+                 correlation: str) -> TraceTables:
+    """Fetch or build the predictor tables of ``trace`` for ``config``.
+
+    Stored on the trace object itself (like its lazy ``_stacked`` view),
+    keyed by what the tables depend on: the correlation source when
+    layer-wise prediction is on, and the state increments.
+    """
+    use_layer = config.use_layer_prediction
+    if use_layer and correlation not in ("profiled", "sampled"):
+        raise ValueError(f"unknown correlation source {correlation!r}")
+    key = (correlation if use_layer else None, config.s_up, config.s_down)
+    cache = getattr(trace, "_predictor_tables", None)
+    if cache is None:
+        cache = {}
+        trace._predictor_tables = cache
+    tables = cache.get(key)
+    if tables is None:
+        tables = _build_tables(trace, config, key[0])
+        cache[key] = tables
+    return tables
+
+
+def _parent_counts(actuals_span: np.ndarray, table: CorrelationTable,
+                   dtype) -> np.ndarray:
+    """Layer-wise term ``s2`` of every step of a ``(steps, layers,
+    groups)`` activation stack: how many of each group's correlated
+    parents fired in the previous layer (0 where a layer has no table)."""
+    s2 = np.zeros(actuals_span.shape, dtype=dtype)
+    for l in range(1, actuals_span.shape[1]):
+        parents = table.parents[l]
+        if parents is not None:
+            s2[:, l] = actuals_span[:, l - 1][:, parents].sum(axis=2)
+    return s2
+
+
+def _build_tables(trace: ActivationTrace, config: PredictorConfig,
+                  correlation: str | None) -> TraceTables:
+    initial = np.empty(
+        (trace.num_layers, trace.layout.groups_per_layer), dtype=np.int16)
+    for l in range(trace.num_layers):
+        freq = trace.prefill_frequencies(l)
+        initial[l] = np.minimum(
+            (freq * (STATE_MAX + 1)).astype(np.int16), STATE_MAX)
+    actuals = trace.active_span(slice(trace.prompt_len, trace.n_tokens))
+    table = s2 = None
+    if correlation is not None:
+        table = (CorrelationTable.from_profiling(trace)
+                 if correlation == "profiled"
+                 else CorrelationTable.from_trace(trace))
+        s2 = _parent_counts(actuals, table, np.int8)
+    deltas = np.where(actuals, np.int16(config.s_up),
+                      np.int16(-config.s_down))
+    counts = np.count_nonzero(actuals, axis=(1, 2)).tolist()
+    # shared by every session over the trace: freeze what was built here
+    for array in (initial, s2, deltas):
+        if array is not None:
+            array.flags.writeable = False
+    return TraceTables(initial, table, s2, deltas, actuals, counts)
+
+
 class ActivationPredictor:
     """Combined token-wise + layer-wise activation predictor."""
 
@@ -187,34 +277,25 @@ class ActivationPredictor:
             (self.num_layers, layout.groups_per_layer), dtype=np.int16)
         self.states = list(self.state_matrix)
         self.correlation: CorrelationTable | None = None
-        self._parents_stack: tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   bool] | None = None
+        #: the shared per-trace tables behind the per-token entry points
+        self.tables: TraceTables | None = None
         self.stats = PredictionStats()
 
     # ------------------------------------------------------------------
     def initialize(self, trace: ActivationTrace, *,
                    correlation: str = "profiled") -> None:
         """Set initial states from prefill frequencies (16 linear stages)
-        and build the correlation table.
+        and attach the trace's shared tables (:func:`trace_tables`).
 
         ``correlation`` selects the table source: ``"profiled"`` uses the
         trace's recorded offline structure (the paper's corpus-profiled
         table), ``"sampled"`` estimates it statistically from the prefill
         window.
         """
-        for l in range(self.num_layers):
-            freq = trace.prefill_frequencies(l)
-            self.states[l][:] = np.minimum(
-                (freq * (STATE_MAX + 1)).astype(np.int16), STATE_MAX
-            )
-        self._parents_stack = None
-        if self.config.use_layer_prediction:
-            if correlation == "profiled":
-                self.correlation = CorrelationTable.from_profiling(trace)
-            elif correlation == "sampled":
-                self.correlation = CorrelationTable.from_trace(trace)
-            else:
-                raise ValueError(f"unknown correlation source {correlation!r}")
+        tables = trace_tables(trace, self.config, correlation)
+        self.tables = tables
+        self.state_matrix[:] = tables.initial_states
+        self.correlation = tables.correlation
 
     # ------------------------------------------------------------------
     def predict(self, layer: int,
@@ -246,81 +327,48 @@ class ActivationPredictor:
         # permanently-active neuron with silent parents.
         return score >= cfg.threshold
 
-    def _stacked_parents(
-        self
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """(layer indices, gather rows, stacked top-2 parent table,
-        indices-are-contiguous flag) for the vectorized layer-wise term;
-        layers without a table are absent from the stack."""
-        if self._parents_stack is None:
-            parents = (self.correlation.parents
-                       if self.correlation is not None else [])
-            layers = [l for l in range(1, self.num_layers)
-                      if l < len(parents) and parents[l] is not None]
-            idx = np.asarray(layers, dtype=np.intp)
-            stack = (np.stack([parents[l] for l in layers]) if layers
-                     else np.zeros((0, self.layout.groups_per_layer, 2),
-                                   dtype=np.intp))
-            rows = np.arange(idx.size)[:, None, None]
-            contiguous = bool(idx.size == self.num_layers - 1
-                              and (idx == np.arange(1, self.num_layers)).all())
-            self._parents_stack = (idx, rows, stack, contiguous)
-        return self._parents_stack
+    def predict_all(self, token: int) -> np.ndarray:
+        """Predicted masks for every layer of decode token ``token``.
 
-    def predict_all(self, actuals: np.ndarray) -> np.ndarray:
-        """Predicted masks for every layer of one token, vectorized.
-
-        ``actuals`` is the token's (num_layers, groups) ground-truth
-        activation matrix; row ``l-1`` supplies the realised previous-layer
-        activations feeding layer ``l``'s layer-wise term (layers execute
-        sequentially, so those are known by the time layer ``l`` runs).
-        Row ``l`` equals ``predict(l, actuals[l-1])`` bit-for-bit — one
-        call replaces the per-layer loop on the decode fast path.
+        Row ``l`` equals ``predict(l, actual of layer l-1)`` bit-for-bit:
+        the layer-wise term is read from the shared table instead of
+        gathered through the correlation table, and the score keeps
+        :meth:`predict`'s float64 arithmetic (``s2 * lam + s1``, all
+        small exact integers) — one call replaces the per-layer loop on
+        the decode path.
         """
-        if actuals.shape != self.state_matrix.shape:
-            raise ValueError("actuals matrix has wrong shape")
         cfg = self.config
-        s2 = np.zeros(self.state_matrix.shape)
-        if cfg.use_layer_prediction and self.correlation is not None:
-            idx, rows, parents, contiguous = self._stacked_parents()
-            if idx.size:
-                # every layer past the first has a table in the common
-                # case, so the previous-layer rows are just a slice
-                prev = actuals[:-1] if contiguous else actuals[idx - 1]
-                s2[idx] = prev[rows, parents].sum(axis=2)
+        s2 = self.tables.s2
         if not cfg.use_token_prediction:
             # layer-only mode: both sampled parents must fire (see predict)
-            return s2 >= 2.0
-        score = s2
-        score *= cfg.lam
+            return s2[token] >= 2
+        if s2 is None:
+            return self.state_matrix >= cfg.threshold
+        score = np.multiply(s2[token], cfg.lam, dtype=np.float64)
         score += self.state_matrix
         return score >= cfg.threshold
 
-    # ---- fused-span API (macro-stepped decode) -----------------------
+    # ---- whole-span forms ----------------------------------------------
+    # The engine steps through :meth:`predict_all` / :meth:`observe_all`;
+    # these compute the same quantities for an arbitrary stack of steps
+    # at once.  The performance ledger's tracer (``simbench/tracing.py``)
+    # names them as trace targets.
     def span_scores(self, actuals_span: np.ndarray) -> np.ndarray:
-        """Layer-wise score term of every step in a fused span.
+        """Layer-wise score term of every step of a span.
 
         ``actuals_span`` stacks the span's ground-truth activations as
         ``(steps, num_layers, groups)``.  The returned float64 array of
         the same shape holds ``lam * s2`` per step (raw ``s2`` in
         layer-only mode, whose threshold does not mix in the state
-        table).  The correlation-table gather — the expensive part of
-        :meth:`predict_all` — runs once for the whole span; combined
-        with :meth:`predict_span_step` the per-step masks are
-        bit-identical to per-token ``predict_all`` calls, because the
-        layer term depends only on the immutable trace, never on the
-        evolving state table.
+        table).
         """
         if actuals_span.shape[1:] != self.state_matrix.shape:
             raise ValueError("actuals span has wrong shape")
         cfg = self.config
-        s2 = np.zeros(actuals_span.shape)
         if cfg.use_layer_prediction and self.correlation is not None:
-            idx, rows, parents, contiguous = self._stacked_parents()
-            if idx.size:
-                prev = (actuals_span[:, :-1] if contiguous
-                        else actuals_span[:, idx - 1])
-                s2[:, idx] = prev[:, rows, parents].sum(axis=3)
+            s2 = _parent_counts(actuals_span, self.correlation, np.float64)
+        else:
+            s2 = np.zeros(actuals_span.shape)
         if cfg.use_token_prediction:
             s2 *= cfg.lam
         return s2
@@ -338,13 +386,9 @@ class ActivationPredictor:
 
         Entry 0 is the live table as it stands; entry ``i`` the table
         after the span's first ``i`` saturating updates (deltas from
-        :meth:`span_deltas`).  The state evolution depends only on the
-        trace's ground-truth activations — never on predictions or
-        residency — which is what lets a fused span precompute every
-        step's pre-token table up front.  Each update is the
-        max-then-min spelling of :meth:`observe_all`'s clip: identical
-        integers.  The caller commits the realized prefix back with
-        :meth:`sync_states`.
+        :meth:`span_deltas`), each the max-then-min spelling of
+        :meth:`observe_all`'s clip.  The state evolution depends only on
+        the ground-truth activations, never on predictions or residency.
         """
         k = deltas_span.shape[0]
         out = np.empty((k + 1,) + self.state_matrix.shape, dtype=np.int16)
@@ -362,10 +406,10 @@ class ActivationPredictor:
         """Predicted masks for every step of a span, in two matrix ops.
 
         ``scores_span`` from :meth:`span_scores`, ``states_span`` from
-        :meth:`span_states` — row ``i`` is bit-identical to a
-        ``predict_all`` call on token ``i`` interleaved with the span's
-        state updates, because every term is a small exact integer in
-        float64.
+        :meth:`span_states` — row ``i`` is bit-identical to
+        :meth:`predict_all` on the span's ``i``-th token interleaved
+        with the span's state updates, because every term is a small
+        exact integer in float64.
         """
         cfg = self.config
         if not cfg.use_token_prediction:
@@ -404,27 +448,29 @@ class ActivationPredictor:
         np.clip(state, 0, STATE_MAX, out=self.states[layer])
 
     def observe_all(
-        self, actuals: np.ndarray, predicted: np.ndarray | None = None
+        self, token: int, predicted: np.ndarray | None = None
     ) -> None:
-        """Token-level :meth:`observe`: fold one token's outcome for every
-        layer into the state table and accuracy counters at once.
+        """Token-level :meth:`observe`: fold decode token ``token``'s
+        outcome for every layer into the state table and accuracy
+        counters at once.
 
-        Equivalent to calling ``observe(l, actuals[l], predicted[l])`` for
+        Equivalent to calling ``observe(l, actual[l], predicted[l])`` for
         each layer — the state update is elementwise and the counters are
         order-free sums — but costs a handful of matrix ops per token.
         Valid whenever no reader consumes layer ``l``'s post-token state
         between the layer loop and the end of the token, which holds for
         the engine: online adjustment reads pre-token states only.
         """
-        if actuals.shape != self.state_matrix.shape:
-            raise ValueError("actuals matrix has wrong shape")
+        tables = self.tables
         if predicted is not None:
-            self.stats.update(predicted, actuals)
+            self.stats.fold(
+                int(np.count_nonzero(predicted & tables.actuals[token])),
+                int(np.count_nonzero(predicted)),
+                tables.active_counts[token], predicted.size)
         matrix = self.state_matrix
         # in-place delta + saturating clamp (max-then-min spelling of
         # clip); identical integers to the scalar update
-        matrix += np.where(actuals, np.int16(self.config.s_up),
-                           np.int16(-self.config.s_down))
+        matrix += tables.deltas[token]
         np.maximum(matrix, 0, out=matrix)
         np.minimum(matrix, STATE_MAX, out=matrix)
 

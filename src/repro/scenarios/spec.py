@@ -78,11 +78,24 @@ def _take(data: dict, allowed: typing.Iterable[str], context: str) -> dict:
     return data
 
 
+def _integer(value: typing.Any, label: str) -> int:
+    """``int(value)``, with a ValueError naming ``label`` on failure
+    (NaN and infinity included)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{label} must be an integer, got {value!r}"
+                         ) from exc
+
+
 def _lengths(data: dict | None, context: str) -> LengthDistribution:
     if data is None:
         return LengthDistribution()
     _take(data, ("kind", "mean", "low", "high", "sigma"), context)
-    return LengthDistribution(**data)
+    try:
+        return LengthDistribution(**data)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -540,7 +553,8 @@ def _parse_classes(classes: dict | None, slo_table: dict | None) -> SLOPolicy:
         parsed.append(
             PriorityClass(
                 name=name,
-                priority=int(fields.get("priority", 0)),
+                priority=_integer(fields.get("priority", 0),
+                                  f"classes.{name}.priority"),
                 ttft_slo=fields.get("ttft_slo"),
                 tbt_slo=fields.get("tbt_slo"),
             )
@@ -622,20 +636,18 @@ def _parse_tenant(
     for key in _WORKLOAD_KEYS:
         if key in data:
             workload_kwargs[key] = data[key]
-    workload = WorkloadConfig(
-        prompt_lens=_lengths(
-            data.get("prompt_lens"), f"{context}.prompt_lens"
-        ),
-        output_lens=_lengths(
-            data.get("output_lens"), f"{context}.output_lens"
-        ),
-        **workload_kwargs,
-    )
+    prompt_lens = _lengths(data.get("prompt_lens"), f"{context}.prompt_lens")
+    output_lens = _lengths(data.get("output_lens"), f"{context}.output_lens")
+    try:
+        workload = WorkloadConfig(prompt_lens=prompt_lens,
+                                  output_lens=output_lens, **workload_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from exc
     return TenantSpec(
         name=name,
         class_name=class_name,
         workload=workload,
-        seed=int(data.get("seed", base_seed + index)),
+        seed=_integer(data.get("seed", base_seed + index), f"{context}.seed"),
     )
 
 
@@ -659,7 +671,7 @@ def parse_scenario(
     tenants_data = data.get("tenants")
     if not tenants_data:
         raise ValueError(f"{name_hint}: a scenario needs >= 1 tenant")
-    base_seed = int(data.get("seed", 0))
+    base_seed = _integer(data.get("seed", 0), f"{name_hint}.seed")
     trace = dict(data.get("trace") or {})
     _take(trace, ("granularity", "seed"), f"{name_hint}.trace")
     config, policy_name, policy_kwargs = _parse_cluster(data.get("cluster"))

@@ -121,9 +121,10 @@ class StragglerSpec:
         _check_time(self.start, "straggler start")
         if self.end is not None and float(self.end) <= self.start:
             raise ValueError("straggler end must be after start")
-        if not self.slowdown >= 1.0:
-            raise ValueError("slowdown must be >= 1 (a straggler cannot "
-                             "speed a machine up)")
+        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
+            raise ValueError("slowdown must be finite and >= 1 (a "
+                             "straggler cannot speed a machine up), got "
+                             f"{self.slowdown!r}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -245,8 +246,9 @@ class SampleSpec:
             _check_time(getattr(self, label), label)
         if not 0.0 <= self.restart_fraction <= 1.0:
             raise ValueError("restart_fraction must lie in [0, 1]")
-        if not self.slowdown >= 1.0:
-            raise ValueError("sampled slowdown must be >= 1")
+        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
+            raise ValueError("sampled slowdown must be finite and >= 1, "
+                             f"got {self.slowdown!r}")
 
 
 @dataclasses.dataclass(frozen=True)

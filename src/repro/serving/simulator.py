@@ -689,7 +689,7 @@ class _MachineLoop:
                  "macro", "fast", "policy", "preemptor", "trigger_fn",
                  "tracer", "tracing", "observe", "faults", "fh",
                  "has_degrades", "applied_degrade", "last_health",
-                 "active")
+                 "active", "aborted")
 
     def __init__(self, owner: ServingSimulator, sim: Simulator,
                  state: _RunState, m: int, executor: ServingBackend,
@@ -716,6 +716,9 @@ class _MachineLoop:
         self.applied_degrade = (1.0, 1.0)
         self.last_health: str | None = None
         self.active: list[ActiveEntry] = []
+        #: a request whose admission prefill the crash cut short; the
+        #: crash handler evacuates it with the residents
+        self.aborted: Request | None = None
 
     def run(self):
         """The machine's process: phases until no work can arrive."""
@@ -776,6 +779,9 @@ class _MachineLoop:
             pending = list(state.queue_of(m))
             state.queue_of(m).clear()
             state.queued_count -= len(pending)
+        if self.aborted is not None:
+            state.migrate(self.aborted, m, now)
+            self.aborted = None
         if self.active:
             self._leave(len(self.active))
             for entry in self.active:
@@ -937,10 +943,13 @@ class _MachineLoop:
                     if (crash is not None
                             and sim.now + (compute + transfer) >= crash):
                         # the crash lands mid-prefill: abort (no cost
-                        # charged, KV lost) and migrate the request
+                        # charged, KV lost); the crash handler, next at
+                        # this instant, migrates the request after its
+                        # backlog snapshot, so a re-route back onto this
+                        # machine is not swept up as a second migration
                         yield WaitUntil(crash)
                         yield Release(resource)
-                        state.migrate(request, m, sim.now)
+                        self.aborted = request
                         return
                 yield Timeout(compute + transfer)
                 yield Release(resource)

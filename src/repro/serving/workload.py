@@ -26,6 +26,15 @@ import numpy as np
 LENGTH_KINDS = ("fixed", "uniform", "lognormal")
 
 
+def _check_finite(config: object, keys: tuple[str, ...]) -> None:
+    """Reject a NaN or infinite value in any of ``config``'s ``keys``
+    (``None`` means unset and passes)."""
+    for key in keys:
+        value = getattr(config, key)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class Request:
     """One inference request as submitted by a client.
@@ -74,6 +83,7 @@ class LengthDistribution:
         if self.kind not in LENGTH_KINDS:
             raise ValueError(f"unknown length distribution {self.kind!r}; "
                              f"choose from {', '.join(LENGTH_KINDS)}")
+        _check_finite(self, ("mean", "low", "high", "sigma"))
         if self.mean < 1:
             raise ValueError("mean length must be >= 1")
         if self.kind == "uniform" and (self.low is None or self.high is None):
@@ -121,6 +131,8 @@ class WorkloadConfig:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(
                 f"rate must be finite and positive, got {self.rate!r}")
+        _check_finite(self, ("num_requests", "burst_factor",
+                             "burst_fraction", "burst_period"))
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
         if self.arrival == "bursty":

@@ -95,10 +95,10 @@ class ActivationTrace:
     def active_span(self, tokens: "list[int] | slice") -> np.ndarray:
         """(len(tokens), num_layers, groups) activation stack of a span.
 
-        Element ``[i]`` equals ``active_matrix(tokens[i])``; the fused
-        decode path reads a whole run of consecutive tokens in one
-        gather instead of re-slicing the stack per step.  A ``slice``
-        (the common non-wrapping case) yields a copy-free view.
+        Element ``[i]`` equals ``active_matrix(tokens[i])``; the
+        predictor's per-trace tables read the whole decode region in one
+        gather instead of re-slicing the stack per token.  A ``slice``
+        yields a copy-free view.
         """
         return self._ensure_stacked()[:, tokens].swapaxes(0, 1)
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core import HermesConfig, HermesSystem, batch_union_factor
 from repro.hardware import Machine, TESLA_T4
 from repro.models import get_model
+from repro.sparsity import TraceConfig, generate_trace
 
 import numpy as np
 
@@ -142,6 +143,101 @@ class TestConfigurationSpace:
             HermesConfig(window=0)
         with pytest.raises(ValueError):
             HermesConfig(gpu_reserve_bytes=-1)
+
+
+#: odd trace dimensions, so no layout- or machine-sized array shares them
+_TABLE_TRACE = TraceConfig(prompt_len=23, decode_len=37, granularity=4)
+
+#: default, token-only, layer-only and oracle Hermes
+_PREDICTOR_MODES = (
+    HermesConfig(),
+    HermesConfig(layer_prediction=False),
+    HermesConfig(token_prediction=False),
+    HermesConfig(oracle=True),
+)
+
+
+def _arrays(value):
+    """Every ndarray in ``value``, looking one container level deep."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [v for v in value if isinstance(v, np.ndarray)]
+    return []
+
+
+class TestTraceTables:
+    """The predictor's trace-only inputs are tabled once per trace."""
+
+    def test_sessions_share_one_table_set_per_key(self, machine, tiny_model):
+        trace = generate_trace(tiny_model, _TABLE_TRACE, seed=5)
+        sessions = []
+        partition = None
+        for i in range(100):
+            config = _PREDICTOR_MODES[i % 2]
+            session = HermesSystem(machine, tiny_model, config).session(
+                trace, wrap=True, partition=partition)
+            partition = session.partition
+            session.decode_step()
+            sessions.append(session)
+        cache = trace._predictor_tables
+        assert len(cache) == 2  # default and token-only
+        for i, session in enumerate(sessions):
+            assert session.predictor.tables is sessions[i % 2].predictor.tables
+            assert any(t is session.predictor.tables for t in cache.values())
+        sized = {trace.n_tokens, trace.n_decode_tokens}
+        for session in sessions:
+            for owner in (session, session.predictor, session.mapper,
+                          session.scheduler):
+                for name, value in vars(owner).items():
+                    for array in _arrays(value):
+                        assert not sized & set(array.shape), name
+
+    def test_interleaved_modes_match_fresh_traces(self, machine, tiny_model):
+        shared = generate_trace(tiny_model, _TABLE_TRACE, seed=5)
+
+        def open_session(config, trace):
+            return HermesSystem(machine, tiny_model, config).session(
+                trace, batch=2, wrap=True)
+
+        mixed = [open_session(c, shared) for c in _PREDICTOR_MODES]
+        alone = [open_session(c, generate_trace(tiny_model, _TABLE_TRACE,
+                                                seed=5))
+                 for c in _PREDICTOR_MODES]
+        costs = {id(s): [] for s in mixed + alone}
+
+        def step(session, round_):
+            if round_ % 3 == 0:
+                cost = session.decode_step(batch=1 + round_ % 4)
+                costs[id(session)].append(
+                    (cost.seconds, cost.gpu_busy, cost.dimm_busy,
+                     cost.swap_bytes, cost.resident_bytes))
+            else:
+                span = session.decode_steps(
+                    batch=2, max_steps=5, start_time=1.0,
+                    until=1.0 + 2.5 * session.last_step_seconds)
+                for i in range(len(span)):
+                    costs[id(session)].append(
+                        (span.seconds[i], span.end_times[i],
+                         span.swap_bytes[i], span.resident_bytes[i]))
+
+        # round-robin over the shared trace; well past the decode region,
+        # so the token cursor wraps
+        for round_ in range(40):
+            for session in mixed:
+                step(session, round_)
+        for session in alone:
+            for round_ in range(40):
+                step(session, round_)
+        for a, b in zip(mixed, alone):
+            assert a.steps_done == b.steps_done > shared.n_decode_tokens
+            assert costs[id(a)] == costs[id(b)]
+            assert np.array_equal(a.predictor.state_matrix,
+                                  b.predictor.state_matrix)
+            assert a.predictor.stats == b.predictor.stats
+            assert a.finish().breakdown == b.finish().breakdown
 
 
 class TestRealisticScale:

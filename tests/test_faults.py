@@ -294,8 +294,13 @@ class TestFaultSchedule:
             CrashSpec(-1, 1.0, 1.0)
         with pytest.raises(ValueError):
             StragglerSpec(0, 1.0, 0.5, 2.0)  # end before start
-        with pytest.raises(ValueError):
-            StragglerSpec(0, 0.0, 1.0, 0.5)  # speedup, not a straggler
+        # a speedup is not a straggler; an infinite or NaN factor would
+        # report an infinite makespan and NaN utilization
+        for slowdown in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="slowdown"):
+                StragglerSpec(0, 0.0, 1.0, slowdown)
+            with pytest.raises(ValueError, match="slowdown"):
+                SampleSpec(horizon=1.0, slowdown=slowdown)
         with pytest.raises(ValueError):
             PartitionSpec(0, 2.0, 2.0)
         with pytest.raises(ValueError):

@@ -231,3 +231,45 @@ class TestFootprint:
         assert not predictor.hot_mask(0).any()
         predictor.states[0][:] = 11
         assert predictor.hot_mask(0).all()
+
+
+class TestTokenAndSpanForms:
+    """predict_all/observe_all (table-backed, per decode token), the
+    per-layer predict/observe loop and the whole-span forms agree."""
+
+    @pytest.mark.parametrize("mode", [
+        {},
+        {"use_layer_prediction": False},
+        {"use_token_prediction": False},
+    ])
+    def test_forms_agree(self, layout, tiny_trace, mode):
+        def fresh():
+            p = ActivationPredictor(layout, PredictorConfig(**mode))
+            p.initialize(tiny_trace)
+            return p
+
+        steps = tiny_trace.n_decode_tokens
+        actuals = tiny_trace.active_span(
+            slice(tiny_trace.prompt_len, tiny_trace.n_tokens))
+        by_token, by_layer, by_span = fresh(), fresh(), fresh()
+        token_preds, layer_preds = [], []
+        for i in range(steps):
+            pred = by_token.predict_all(i)
+            by_token.observe_all(i, pred)
+            token_preds.append(pred)
+            rows = []
+            for l in range(tiny_trace.num_layers):
+                prev = actuals[i, l - 1] if l else None
+                rows.append(by_layer.predict(l, prev))
+                by_layer.observe(l, actuals[i, l], rows[-1])
+            layer_preds.append(rows)
+        states = by_span.span_states(by_span.span_deltas(actuals))
+        span_preds = by_span.span_predictions(
+            by_span.span_scores(actuals), states)
+        by_span.sync_states(states[-1])
+        by_span.record_span(span_preds, actuals)
+        assert np.array_equal(np.stack(token_preds), np.array(layer_preds))
+        assert np.array_equal(np.stack(token_preds), span_preds)
+        for other in (by_layer, by_span):
+            assert np.array_equal(by_token.state_matrix, other.state_matrix)
+            assert by_token.stats == other.stats

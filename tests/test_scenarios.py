@@ -66,6 +66,27 @@ class TestParsing:
             with pytest.raises(ValueError, match="unknown keys"):
                 parse_scenario(data)
 
+    def test_non_finite_numbers_rejected_with_their_key(self):
+        straggler = {"machine": 0, "start": 0.0, "end": 1.0}
+        for bad in (float("nan"), float("inf")):
+            for mutate, key in (
+                (lambda d: d["tenants"][1].update(burst_factor=bad),
+                 r"tenants\[1\]: burst_factor"),
+                (lambda d: d["tenants"][0]["prompt_lens"].update(mean=bad),
+                 r"tenants\[0\]\.prompt_lens: mean"),
+                (lambda d: d["tenants"][1].update(output_lens={
+                    "kind": "uniform", "low": bad, "high": 8}),
+                 r"tenants\[1\]\.output_lens: low"),
+                (lambda d: d["classes"]["hi"].update(priority=bad),
+                 r"classes\.hi\.priority"),
+                (lambda d: d.update(faults={"stragglers": [
+                    dict(straggler, slowdown=bad)]}), "slowdown"),
+            ):
+                data = copy.deepcopy(TWO_CLASS)
+                mutate(data)
+                with pytest.raises(ValueError, match=key):
+                    parse_scenario(data)
+
     def test_missing_model_or_tenants(self):
         with pytest.raises(ValueError, match="model"):
             parse_scenario({"tenants": MINIMAL["tenants"]})

@@ -114,6 +114,15 @@ class TestWorkload:
             LengthDistribution(kind="uniform")
         with pytest.raises(ValueError):
             Request(req_id=0, arrival=0.0, prompt_len=0, output_len=4)
+        # a NaN or infinite number is named at construction instead of
+        # failing later in an integer conversion
+        for bad in (float("nan"), float("inf")):
+            for key in ("burst_factor", "burst_period", "num_requests"):
+                with pytest.raises(ValueError, match=key):
+                    WorkloadConfig(arrival="bursty", **{key: bad})
+            for key in ("mean", "low", "high", "sigma"):
+                with pytest.raises(ValueError, match=key):
+                    LengthDistribution(**{key: bad})
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,29 @@ class TestShardedEqualsSingleProcess:
         b = _run(cfg, workload)
         _assert_reports_equal(a, b)
 
+    def test_prefill_abort_routed_back_migrates_once(self):
+        """A crash that cuts an admission prefill short migrates that
+        request once, even when it is re-routed back onto the crashed
+        machine (session affinity) — the crash's backlog sweep must not
+        count it again.  Request 55 arrives just before machine 0's
+        crash and is mid-prefill when it lands."""
+        faults = FaultSchedule(crashes=(
+            CrashSpec(machine=0, at=0.9738089614290752, restart_after=0.5),
+        ))
+        workload = _workload(per=25, seed=18)
+        base = ClusterConfig(
+            num_machines=4,
+            router="session-affinity",
+            max_batch=4,
+            faults=faults,
+        )
+        ref = _run(base, workload)
+        record = next(r for r in ref.records if r.request.req_id == 55)
+        assert record.machine == 0
+        assert record.migrations == 1
+        rep = _run(dataclasses.replace(base, shards=1), workload)
+        _assert_reports_equal(ref, rep)
+
 
 class TestShardedTelemetry:
     def test_merged_stream_is_time_ordered_and_complete(self):
