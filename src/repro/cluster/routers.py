@@ -22,6 +22,11 @@ Shipped routers:
   "least loaded" on a heterogeneous fleet, where equal queue depths
   mean very different drain times.
 
+``round-robin`` and ``session-affinity`` never read the load vector
+(:attr:`Router.load_oblivious`), so a ``fidelity: fast`` cluster run
+routes its whole workload before the run starts and bounds each
+machine's decode spans at its own arrivals only.
+
 Any of them can be wrapped in :class:`HealthAwareRouter` (the cluster
 config's ``health_aware`` flag), which overrides choices that land on a
 down, partitioned, or straggling machine — stragglers are detected
@@ -46,11 +51,11 @@ class Router:
     #: routers that normalize load by machine speed set this; the
     #: cluster simulator then calls :meth:`bind_fleet` before the run
     needs_throughputs = False
-    #: a router whose decisions depend only on the request stream (never
-    #: on live load values) can be replayed by the sharded coordinator
-    #: without simulating the fleet — the requirement for
-    #: ``ServingConfig.shards`` (see :mod:`repro.cluster.sharded`)
-    shardable = False
+    #: a router whose decisions depend only on the routing-call order
+    #: (never on live load values) can route a whole workload before
+    #: the run starts; fast-fidelity cluster runs then pre-route every
+    #: arrival (see ``ClusterSimulator._build_state``)
+    load_oblivious = False
 
     def route(self, request: Request, loads: typing.Sequence[float]) -> int:
         """Machine index for ``request`` given per-machine loads."""
@@ -72,8 +77,8 @@ class RoundRobinRouter(Router):
 
     name = "round-robin"
     #: the counter ignores loads entirely — decisions are a pure
-    #: function of the routing-call order, which the coordinator replays
-    shardable = True
+    #: function of the routing-call order
+    load_oblivious = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -106,8 +111,8 @@ class SessionAffinityRouter(Router):
 
     name = "session-affinity"
     #: stateless and order-independent: the target is a pure function
-    #: of the tenant, so any routing-call interleaving replays exactly
-    shardable = True
+    #: of the tenant
+    load_oblivious = True
 
     def route(self, request: Request, loads: typing.Sequence[float]) -> int:
         return zlib.crc32(request.tenant.encode()) % len(loads)

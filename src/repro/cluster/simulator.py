@@ -139,7 +139,30 @@ class ClusterSimulator(ServingSimulator):
 
             state.on_degrade = on_degrade
 
+        #: pre-routed targets by req_id (see the rule below); ``assign``
+        #: pops them, so a crash refugee misses and is routed live
+        targets: dict[int, int] = {}
+        if (self.config.fidelity == "fast"
+                and getattr(router, "load_oblivious", False)
+                and not (faults is not None and faults.partitions)):
+            # A load-oblivious router's choice is a pure function of the
+            # routing-call order, so fast mode routes every arrival up
+            # front, in ingest order, and bounds each machine's spans and
+            # idle parks at its *own* arrivals (``span_bounds``) rather
+            # than at every arrival in the fleet.  A health-aware wrapper
+            # reads live state and is not load-oblivious; a partition is
+            # routed around at ingest time.  Exact mode routes live.
+            zero_loads = [0.0] * machines
+            state.span_bounds = [[] for _ in range(machines)]
+            for request in state.workload:
+                target = router.route(request, zero_loads)
+                targets[request.req_id] = target
+                state.span_bounds[target].append(request.arrival)
+
         def assign(request: Request, now: float) -> int:
+            target = targets.pop(request.req_id, None)
+            if target is not None:
+                return target
             clock[0] = now
             target = router.route(request, state.loads())
             if faults is not None and faults.is_partitioned(target, now):
@@ -201,29 +224,14 @@ class ClusterSimulator(ServingSimulator):
             # a victim's free re-admission lands back on the same
             # machine, so the preemptor must know when that machine is
             # straggling/degraded/dying — resolved by executor identity
-            # (the victim call passes the executor, not the index).
-            # ``_machine_offset`` maps a shard's local executor
-            # list onto fleet-global machine ids for the fault queries.
-            index = {
-                id(ex): m + self._machine_offset
-                for m, ex in enumerate(self.executors)
-            }
+            # (the victim call passes the executor, not the index)
+            index = {id(ex): m for m, ex in enumerate(self.executors)}
 
             def health(executor, now: float) -> str:
                 return faults.health_state(index[id(executor)], now)
 
         return DeadlinePreemptor(self._admission_policy(), self.slo,
                                  health=health)
-
-    def run(self, workload, *, tracer=None):
-        """Serve ``workload``; dispatches to the sharded coordinator
-        when ``config.shards`` is set (see :mod:`repro.cluster.sharded`
-        for the partitioning and its bit-equality contract)."""
-        if self.config.shards:
-            from .sharded import run_sharded
-
-            return run_sharded(self, workload, tracer=tracer)
-        return super().run(workload, tracer=tracer)
 
     def _make_report(self, state: _RunState, makespan: float) -> ClusterReport:
         return ClusterReport(

@@ -79,13 +79,21 @@ def _take(data: dict, allowed: typing.Iterable[str], context: str) -> dict:
 
 
 def _integer(value: typing.Any, label: str) -> int:
-    """``int(value)``, with a ValueError naming ``label`` on failure
-    (NaN and infinity included)."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{label} must be an integer, got {value!r}"
-                         ) from exc
+    """``value`` as an ``int``; a ValueError naming ``label`` unless it is
+    an integral number (a boolean, 2.5, NaN and infinity all fail)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value: typing.Any, label: str) -> bool:
+    """``value`` if it is a JSON/TOML boolean, else a ValueError naming
+    ``label`` (a string such as ``"no"`` is not silently truthy)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{label} must be true or false, got {value!r}")
+    return value
 
 
 def _lengths(data: dict | None, context: str) -> LengthDistribution:
@@ -389,7 +397,6 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
             "max_batch",
             "macro_step",
             "fidelity",
-            "shards",
             "router",
             "router_seed",
             "health_aware",
@@ -408,6 +415,12 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
         raise ValueError(
             f"cluster.router: unknown router {router!r}; known: {known}"
         )
+    for key in ("num_machines", "max_batch", "router_seed"):
+        if key in data:
+            data[key] = _integer(data[key], f"cluster.{key}")
+    for key in ("macro_step", "health_aware"):
+        if key in data:
+            data[key] = _boolean(data[key], f"cluster.{key}")
     return ClusterConfig(**data), policy, policy_kwargs
 
 

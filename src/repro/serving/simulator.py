@@ -37,7 +37,9 @@ runs one-step spans, and the span contract (fused == sequential steps)
 makes records, busy accounting, queue samples and every scheduling
 decision bit-for-bit independent of the horizon — pinned by the
 equivalence tests and golden files.  ``fidelity="fast"`` swaps the
-span for one closed-form ``span_estimate`` under the same horizon.
+span for one closed-form ``span_estimate`` under the same horizon;
+when the cluster layer pre-routes every arrival, the horizon's arrival
+bound is the machine's own next arrival (``_RunState.span_bounds``).
 
 Prefill blocks decode on the same machine (no chunked prefill), which is
 what creates the classic TTFT-vs-TBT tension the policies trade off.
@@ -119,12 +121,6 @@ class ServingConfig:
     #: ``span_estimate`` call with uniform token spacing — validated
     #: against exact by distribution-level tolerances, not equality
     fidelity: str = "exact"
-    #: number of machine-group shards the cluster event loop is
-    #: partitioned into (0 = the single-calendar reference path).
-    #: Sharded runs need the routed cluster front door and a
-    #: load-oblivious (``shardable``) router; see
-    #: :mod:`repro.cluster.sharded`
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -134,8 +130,6 @@ class ServingConfig:
         if self.fidelity not in ("exact", "fast"):
             raise ValueError(
                 f"fidelity must be 'exact' or 'fast', got {self.fidelity!r}")
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0")
 
 
 @dataclasses.dataclass(slots=True)
@@ -277,22 +271,16 @@ class _RunState:
         #: the live simulator, bound by ``run()`` (fault migration needs
         #: to fire wake signals at the current simulation time)
         self.sim: Simulator | None = None
-        #: set by the sharded coordinator while future windows may still
-        #: deliver work (arrivals or crash refugees) from outside this
-        #: state's view — a fully idle machine then parks *bounded* by
-        #: the next fault boundary instead of unboundedly, exactly like
-        #: an unsharded machine that sees the whole fleet's backlog
-        self.expect_external = False
-        #: target-aware fast-fidelity span bounds: the sharded
-        #: coordinator pre-routes every arrival, so it can tell each
-        #: machine exactly which arrival instants concern *it* — spans
-        #: and idle parks then end only where admission can actually
-        #: happen, instead of at every fleet-global arrival (the
-        #: unsharded fast loop's conservative bound, which degenerates
-        #: to single-step spans at 1000-machine aggregate rates).
-        #: ``None`` means "targets unknown, bound globally".
-        self.span_bounds: dict[int, list[float]] | None = None
-        self._span_bound_idx: dict[int, int] = {}
+        #: target-aware fast-fidelity span bounds: when the cluster
+        #: layer pre-routes every arrival (a load-oblivious router in
+        #: fast mode), each machine's sorted own-arrival instants —
+        #: spans and idle parks then end only where admission can
+        #: actually happen, instead of at every fleet-global arrival
+        #: (a bound that degenerates to single-step spans at
+        #: 1000-machine aggregate rates).  ``None`` means "targets
+        #: unknown, bound globally".
+        self.span_bounds: list[list[float]] | None = None
+        self._span_bound_idx = [0] * num_machines
         #: health-monitor hook ``(machine, step_seconds, batch)`` called
         #: at every decode boundary when health-aware routing is on
         self.observe_step: typing.Callable[[int, float, int], None] | None = (
@@ -351,7 +339,7 @@ class _RunState:
         cursor is exact.
         """
         bounds = self.span_bounds[m]
-        i = self._span_bound_idx.get(m, 0)
+        i = self._span_bound_idx[m]
         while i < len(bounds) and bounds[i] <= now:
             i += 1
         self._span_bound_idx[m] = i
@@ -464,11 +452,6 @@ class ServingSimulator:
     exactly.
     """
 
-    #: global index of this simulator's machine 0 — nonzero only inside
-    #: a shard, whose executors cover a slice of a larger fleet
-    #: but whose fault/health queries must use fleet-global machine ids
-    _machine_offset = 0
-
     def __init__(
         self,
         model: ModelSpec | str,
@@ -490,13 +473,6 @@ class ServingSimulator:
             trace = default_serving_trace(
                 self.model, granularity=granularity, seed=seed
             )
-        #: ctor inputs retained so a sharded run can rebuild fleet
-        #: slices per shard (see :mod:`repro.cluster.sharded`)
-        self.base_machine = machine
-        self._trace = trace
-        self._hermes_config = hermes_config
-        self._granularity = granularity
-        self._seed = seed
         # Each machine gets its own backend (own online engine state)
         # over the shared activation trace.  For Hermes machines the
         # offline partition is solved once — it is deterministic in
@@ -646,10 +622,6 @@ class ServingSimulator:
         """
         if not workload:
             raise ValueError("workload must be non-empty")
-        if self.config.shards:
-            raise ValueError(
-                "shards require the routed cluster front door; use "
-                "repro.cluster.ClusterSimulator")
         if self.config.faults is not None:
             self.config.faults.validate_fleet(self.config.num_machines)
         sim = Simulator()
@@ -975,8 +947,8 @@ class _MachineLoop:
     # ---- decode -------------------------------------------------------
     def _next_arrival(self, now: float) -> float | None:
         """The next arrival this machine must wake for: with pre-routed
-        targets (sharded fast mode) only its own — a foreign arrival can
-        never join this batch — otherwise any."""
+        targets (see :attr:`_RunState.span_bounds`) only its own — a
+        foreign arrival can never join this batch — otherwise any."""
         state = self.state
         if state.span_bounds is None:
             return state.next_arrival()
@@ -1206,9 +1178,9 @@ class _MachineLoop:
         if faults is None:
             if upcoming is None:
                 return False
-            # absolute wake: ``Timeout(upcoming - now)`` re-rounds, so a
-            # shard (which skips foreign-arrival hops) could drift a ULP
-            # from the reference; ``WaitUntil`` is hop-independent
+            # absolute wake: ``Timeout(upcoming - now)`` re-rounds, so
+            # the wake time would depend on the hops taken to get here;
+            # ``WaitUntil`` lands on the arrival instant exactly
             yield WaitUntil(upcoming)
             return True
         # Under faults, idle sleeps are interruptible (a crashing peer
@@ -1219,12 +1191,10 @@ class _MachineLoop:
         # park unboundedly instead, so trailing fault windows elsewhere
         # don't stretch the calendar.  (Our own future crash keeps the
         # park bounded so the restart is witnessed whether or not the
-        # fleet is idle, which also lets a shard replay this machine
-        # without knowing the other shards' idleness.)
+        # fleet is idle.)
         wake = state.wake_signals[self.m]
         if (upcoming is None and state.total_active == 0
                 and state.queued_total() == 0
-                and not state.expect_external
                 and faults.next_exec_transition(self.m, sim.now) is None):
             yield WaitSignal(wake)
             return True

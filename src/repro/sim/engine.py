@@ -20,6 +20,8 @@ Processes are Python generators that yield simulation primitives:
 * another process handle — join (wait for completion).
 
 The engine is deterministic: simultaneous events fire in scheduling order.
+:meth:`Simulator.run` drains the calendar to quiescence in one call — a
+serving run puts its whole fleet, however large, on one calendar.
 """
 
 from __future__ import annotations
@@ -225,22 +227,10 @@ class Simulator:
         proc._joiners.clear()
 
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None) -> float:
-        """Run to quiescence (or to ``until``); returns the final time.
-
-        A bounded run is *resumable*: events at exactly ``until`` fire,
-        the first event past it is pushed back intact (same sequence
-        number, so tie-breaks replay identically), and a later ``run``
-        call continues from where this one stopped.  The sharded cluster
-        coordinator drives each shard's calendar window-by-window
-        through exactly this contract.
-        """
+    def run(self) -> float:
+        """Run to quiescence; returns the final simulation time."""
         while self._queue:
-            time, seq, entry = heapq.heappop(self._queue)
-            if until is not None and time > until:
-                heapq.heappush(self._queue, (time, seq, entry))
-                self.now = until
-                return self.now
+            time, _, entry = heapq.heappop(self._queue)
             if isinstance(entry, _SignalWait):
                 # deadline expiry of an interruptible wait; a no-op when
                 # the signal already fired (the wait woke exactly once)

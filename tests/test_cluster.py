@@ -16,6 +16,8 @@ from repro.cluster import (
     get_router,
 )
 from repro.serving import (
+    CrashSpec,
+    FaultSchedule,
     LengthDistribution,
     Request,
     RequestRecord,
@@ -264,6 +266,90 @@ class TestClusterSimulator:
         report = simulator.run(workload)
         assert report.preemptions == 0
         assert len(report.completed) == 48
+
+
+def _tenant_workload(per, seed, n_tenants=6, rate=8.0):
+    return merge_workloads(*[
+        generate_workload(
+            WorkloadConfig(num_requests=per, rate=rate),
+            seed=seed + i,
+            tenant=f"t{i}",
+        )
+        for i in range(n_tenants)
+    ])
+
+
+def _affinity_crash_run(crashes, workload):
+    config = ClusterConfig(
+        num_machines=4,
+        router="session-affinity",
+        max_batch=4,
+        faults=FaultSchedule(crashes=crashes),
+    )
+    return ClusterSimulator("tiny-test", "fcfs", config).run(list(workload))
+
+
+class TestClusterCrashes:
+    def test_crash_migrations_actually_happen(self):
+        """Routed crashes migrate real work: refugees are re-routed,
+        keep their streamed tokens and finish their output once the
+        fleet restarts."""
+        report = _affinity_crash_run(
+            (CrashSpec(machine=1, at=0.9, restart_after=0.7),
+             CrashSpec(machine=3, at=1.9, restart_after=0.6)),
+            _tenant_workload(per=40, seed=5),
+        )
+        moved = [r for r in report.records if r.migrations]
+        assert moved
+        assert all(r.finished for r in report.records)
+        for record in moved:
+            times = record.token_times
+            assert all(a < b for a, b in zip(times, times[1:]))
+            assert len(times) == record.request.output_len
+
+    def test_prefill_abort_routed_back_migrates_once(self):
+        """A crash that cuts an admission prefill short migrates that
+        request once, even when it is re-routed back onto the crashed
+        machine (session affinity) — the crash's backlog sweep must not
+        count it again.  Request 55 arrives just before machine 0's
+        crash and is mid-prefill when it lands."""
+        report = _affinity_crash_run(
+            (CrashSpec(machine=0, at=0.9738089614290752,
+                       restart_after=0.5),),
+            _tenant_workload(per=25, seed=18),
+        )
+        record = next(r for r in report.records if r.request.req_id == 55)
+        assert record.machine == 0
+        assert record.migrations == 1
+
+    def test_two_runs_identical(self):
+        """Exact multi-tenant runs are identical run-to-run, fault-free
+        and under crashes: every record, busy time and batch sample."""
+        workload = _tenant_workload(per=15, seed=31)
+        crashes = FaultSchedule(crashes=(
+            CrashSpec(machine=1, at=0.9, restart_after=0.7),
+        ))
+        for router in ("round-robin", "session-affinity"):
+            for faults in (None, crashes):
+                config = ClusterConfig(num_machines=4, router=router,
+                                       max_batch=4, faults=faults)
+                a, b = (
+                    ClusterSimulator("tiny-test", "fcfs", config).run(
+                        list(workload))
+                    for _ in range(2)
+                )
+                assert a.makespan == b.makespan, (router, faults)
+                assert a.machine_gpu_busy == b.machine_gpu_busy
+                assert a.machine_dimm_busy == b.machine_dimm_busy
+                assert a.batch_samples == b.batch_samples
+                assert len(a.records) == len(b.records) == len(workload)
+                for ra, rb in zip(a.records, b.records):
+                    assert ra.request.req_id == rb.request.req_id
+                    assert ra.machine == rb.machine
+                    assert ra.prefill_start == rb.prefill_start
+                    assert ra.token_times == rb.token_times
+                    assert ra.preemptions == rb.preemptions
+                    assert ra.migrations == rb.migrations
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,14 @@ tiny batches are where uniform spacing diverges most from the exact
 context ramp — while moderate loads sit near ~1e-3 and the crash
 drill near ~3e-4.  Goodput's deltas are additionally discrete (a
 request flipping across the SLO boundary moves it by its whole token
-count).  Fast mode composes with sharding, and stays deterministic
-run-to-run — both pinned below.
+count).
+
+With a load-oblivious router (round-robin, session-affinity) fast mode
+pre-routes every arrival and bounds each machine's spans at its own
+arrivals.  Pinned below: such runs are deterministic, stay inside the
+same budget, keep exact mode's machine assignment when fault-free, and
+do not wake idle machines for arrivals routed elsewhere; a load-aware
+router, a health-aware wrapper or a router partition keeps live routing.
 """
 
 from __future__ import annotations
@@ -34,10 +40,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.routers import RoundRobinRouter
 from repro.cluster.slo import PriorityClass, SLOPolicy
 from repro.serving import WorkloadConfig, generate_workload
-from repro.serving.faults import CrashSpec, FaultSchedule
+from repro.serving.faults import CrashSpec, FaultSchedule, PartitionSpec
 from repro.serving.workload import merge_workloads
+from repro.sim import Simulator
+from repro.telemetry.events import (
+    RequestCompleted,
+    RequestRouted,
+    RunEnded,
+    RunStarted,
+)
+from repro.telemetry.tracer import RecordingTracer
 
 MODEL = "tiny-test"
 REL_TOL = 0.05
@@ -47,6 +62,18 @@ ATTAINMENT_TOL = 0.05
 SLO = SLOPolicy(classes=(
     PriorityClass(name="default", priority=0, ttft_slo=0.3, tbt_slo=0.01),
 ))
+
+CRASHES = FaultSchedule(crashes=(
+    CrashSpec(machine=1, at=0.2, restart_after=0.3),
+    CrashSpec(machine=3, at=0.5, restart_after=0.4),
+))
+
+#: (router, faults) grid of the pre-routed fast path
+PREROUTED = [
+    (router, faults)
+    for router in ("round-robin", "session-affinity")
+    for faults in (None, CRASHES)
+]
 
 
 def _workload(per, rate, seed):
@@ -119,51 +146,145 @@ class TestFastFidelityTolerance:
 
     def test_under_crash_faults(self):
         """Crash-truncated spans stay within the same budget."""
-        faults = FaultSchedule(crashes=(
-            CrashSpec(machine=1, at=0.2, restart_after=0.3),
-            CrashSpec(machine=3, at=0.5, restart_after=0.4),
-        ))
         base = ClusterConfig(num_machines=4, router="session-affinity",
-                             max_batch=4, faults=faults)
+                             max_batch=4, faults=CRASHES)
         exact, fast = _pair(base, _workload(60, 300.0, 5))
         assert sum(r.migrations for r in exact.records) > 0
         _assert_distributions_close(exact, fast)
 
-    def test_fast_plus_sharded_deterministic(self):
-        """fidelity:fast composes with shards; two runs are identical."""
-        cfg = ClusterConfig(num_machines=4, router="round-robin",
-                            max_batch=4, fidelity="fast", shards=2)
+    def test_fast_prerouted_deterministic(self):
+        """Pre-routed fast runs are identical run-to-run."""
         workload = _workload(20, 100.0, 29)
-        runs = [
-            ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(list(workload))
-            for _ in range(2)
-        ]
-        a, b = runs
-        assert a.makespan == b.makespan
-        assert a.machine_gpu_busy == b.machine_gpu_busy
-        for ra, rb in zip(a.records, b.records):
-            assert ra.token_times == rb.token_times
-            assert ra.machine == rb.machine
+        for router, faults in PREROUTED:
+            cfg = ClusterConfig(num_machines=4, router=router, max_batch=4,
+                                fidelity="fast", faults=faults)
+            a, b = (
+                ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(
+                    list(workload))
+                for _ in range(2)
+            )
+            assert a.makespan == b.makespan, (router, faults)
+            assert a.machine_gpu_busy == b.machine_gpu_busy
+            assert a.queue_samples == b.queue_samples
+            for ra, rb in zip(a.records, b.records):
+                assert ra.token_times == rb.token_times
+                assert ra.machine == rb.machine
+                assert ra.migrations == rb.migrations
 
-    def test_fast_sharded_within_tolerance_of_exact(self):
-        """Sharded fast mode stays inside the same tolerance envelope.
+    def test_fast_prerouted_within_tolerance_of_exact(self):
+        """Pre-routed fast mode stays inside the tolerance envelope.
 
-        Fast + sharded is *not* bit-equal to fast unsharded: the
-        coordinator pre-routes every arrival, so shards bound spans at
-        the arrivals targeting each machine instead of every global
-        arrival (same admission instants, different uniform-spacing
-        windows).  The contract is the distribution one, against the
-        exact single-calendar reference, with identical budgets.
+        Bounding spans at a machine's own arrivals instead of every
+        arrival changes the uniform-spacing windows, not the admission
+        instants, so fault-free every request lands on the machine
+        exact mode routes it to.
         """
-        base = ClusterConfig(num_machines=4, router="round-robin",
-                             max_batch=4)
-        workload = _workload(20, 100.0, 41)
-        exact = ClusterSimulator(MODEL, "fcfs", base, slo=SLO).run(
+        workload = _workload(60, 300.0, 5)
+        for router, faults in PREROUTED:
+            base = ClusterConfig(num_machines=4, router=router,
+                                 max_batch=4, faults=faults)
+            exact, fast = _pair(base, workload)
+            if faults is not None:
+                assert exact.migrations > 0
+            _assert_distributions_close(exact, fast)
+            if faults is None:
+                assert [r.machine for r in fast.records] == [
+                    r.machine for r in exact.records
+                ], router
+
+    def test_idle_machines_do_not_wake_for_foreign_arrivals(
+        self, monkeypatch
+    ):
+        """A pre-routed machine parks until its own next arrival.
+
+        The same round-robin decisions routed live wake every idle
+        machine at every arrival in the fleet, so the calendar takes
+        about one push per machine per request; pre-routed, it takes a
+        handful per request.
+        """
+        calendars: list[Simulator] = []
+
+        class CountingSimulator(Simulator):
+            def __init__(self) -> None:
+                super().__init__()
+                calendars.append(self)
+
+        class LiveRoundRobin(RoundRobinRouter):
+            load_oblivious = False
+
+        monkeypatch.setattr("repro.serving.simulator.Simulator",
+                            CountingSimulator)
+        workload = _workload(25, 100.0, 3)
+        cfg = ClusterConfig(num_machines=64, router="round-robin",
+                            max_batch=4, fidelity="fast")
+        prerouted = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(
             list(workload))
-        cfg = dataclasses.replace(base, fidelity="fast", shards=4)
-        fast = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(
-            list(workload))
-        _assert_distributions_close(exact, fast)
-        assert [r.machine for r in fast.records] == [
-            r.machine for r in exact.records
+        live = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO,
+                                router=LiveRoundRobin()).run(list(workload))
+        assert [r.machine for r in prerouted.records] == [
+            r.machine for r in live.records
         ]
+        pushes_prerouted, pushes_live = (c._seq for c in calendars)
+        n = len(workload)
+        assert pushes_prerouted < 12 * n
+        assert pushes_live > 50 * n
+
+    def test_prerouted_stream_is_complete(self):
+        """Tracing a pre-routed run does not perturb it, and the stream
+        still routes every arrival to the machine that served it."""
+        workload = _workload(10, 100.0, 7)
+        cfg = ClusterConfig(num_machines=4, router="round-robin",
+                            max_batch=4, fidelity="fast")
+        plain = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(
+            list(workload))
+        tracer = RecordingTracer()
+        traced = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(
+            list(workload), tracer=tracer)
+        assert traced.makespan == plain.makespan
+        assert ([r.token_times for r in traced.records]
+                == [r.token_times for r in plain.records])
+        events = tracer.events
+        assert isinstance(events[0], RunStarted)
+        assert isinstance(events[-1], RunEnded)
+        routed = {e.req_id: e.machine for e in events
+                  if isinstance(e, RequestRouted)}
+        assert routed == {r.request.req_id: r.machine
+                          for r in traced.records}
+        completed = [e for e in events if isinstance(e, RequestCompleted)]
+        assert len(completed) == len(traced.completed) == len(workload)
+
+
+def _prerouted(config):
+    """Whether a run under ``config`` pre-routes its arrivals."""
+    sim = ClusterSimulator(MODEL, "fcfs", config, slo=SLO)
+    return sim._build_state(_workload(2, 100.0, 1)).span_bounds is not None
+
+
+class TestPreRoutingRule:
+    def test_fast_load_oblivious_routers_preroute(self):
+        for router, faults in PREROUTED:
+            cfg = ClusterConfig(num_machines=4, router=router,
+                                fidelity="fast", faults=faults)
+            assert _prerouted(cfg)
+            assert not _prerouted(dataclasses.replace(cfg,
+                                                      fidelity="exact"))
+
+    def test_load_dependent_router_routes_live(self):
+        for router in ("least-loaded", "power-of-two",
+                       "throughput-least-loaded"):
+            cfg = ClusterConfig(num_machines=4, router=router,
+                                fidelity="fast")
+            assert not _prerouted(cfg)
+
+    def test_health_aware_routes_live(self):
+        cfg = ClusterConfig(num_machines=4, fidelity="fast",
+                            health_aware=True, faults=CRASHES)
+        assert not _prerouted(cfg)
+
+    def test_partitions_route_live(self):
+        faults = FaultSchedule(partitions=(
+            PartitionSpec(machine=0, start=1.0, end=2.0),
+        ))
+        cfg = ClusterConfig(num_machines=4, fidelity="fast",
+                            faults=faults)
+        assert not _prerouted(cfg)

@@ -87,6 +87,42 @@ class TestParsing:
                 with pytest.raises(ValueError, match=key):
                     parse_scenario(data)
 
+    def test_bad_cluster_values_rejected_with_their_key(self):
+        """Cluster counts and seeds must be integral numbers, flags must
+        be JSON booleans; each error names its key."""
+        for key, bad in (
+            ("max_batch", float("nan")),
+            ("max_batch", 2.5),
+            ("max_batch", True),
+            ("num_machines", 2.5),
+            ("num_machines", "2"),
+            ("router_seed", 1.5),
+            ("router_seed", False),
+            ("macro_step", "no"),
+            ("macro_step", 0),
+            ("health_aware", "yes"),
+        ):
+            data = copy.deepcopy(TWO_CLASS)
+            data["cluster"][key] = bad
+            with pytest.raises(ValueError, match=rf"cluster\.{key} must"):
+                parse_scenario(data)
+        data = copy.deepcopy(TWO_CLASS)
+        data["cluster"].update(max_batch=4.0, router_seed=3,
+                               macro_step=False, health_aware=True)
+        config = parse_scenario(data).config
+        assert (config.max_batch, config.router_seed) == (4, 3)
+        assert type(config.max_batch) is int
+        assert (config.macro_step, config.health_aware) == (False, True)
+
+    def test_shard_processes_key_rejected(self):
+        """The event loop is one calendar: the removed ``shards`` and
+        ``shard_processes`` keys are unknown scenario keys."""
+        for key, value in (("shards", 2), ("shard_processes", True)):
+            data = copy.deepcopy(MINIMAL)
+            data["cluster"] = {"num_machines": 2, key: value}
+            with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
+                parse_scenario(data)
+
     def test_missing_model_or_tenants(self):
         with pytest.raises(ValueError, match="model"):
             parse_scenario({"tenants": MINIMAL["tenants"]})

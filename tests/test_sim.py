@@ -124,54 +124,6 @@ class TestEngine:
         with pytest.raises(TypeError):
             sim.run()
 
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(10.0)
-
-        sim.process(proc())
-        assert sim.run(until=3.0) == 3.0
-
-    def test_run_until_is_resumable(self):
-        """Bounded runs are checkpoints, not terminations.
-
-        The sharded coordinator drives shard calendars window-by-window
-        through this contract: events timestamped exactly at ``until``
-        fire within the bounded run; the first event past it is pushed
-        back unconsumed and fires on the next ``run`` with its original
-        scheduling order preserved.
-        """
-        sim = Simulator()
-        fired = []
-
-        def proc(name, delay):
-            yield Timeout(delay)
-            fired.append(name)
-
-        # same instant (t=5.0) for b and c: registration order must
-        # survive the push-back across the window boundary at t=2.0
-        sim.process(proc("a", 2.0))
-        sim.process(proc("b", 5.0))
-        sim.process(proc("c", 5.0))
-        assert sim.run(until=2.0) == 2.0
-        assert fired == ["a"]
-        assert sim.run(until=5.0) == 5.0
-        assert fired == ["a", "b", "c"]
-
-    def test_run_until_past_last_event(self):
-        """A window past the last event drains the calendar and stops
-        at the final event's time (the coordinator lands idle shards on
-        the barrier itself)."""
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(1.0)
-
-        sim.process(proc())
-        assert sim.run(until=4.0) == 1.0
-        assert sim.run(until=9.0) == 1.0  # empty calendar: no-op
-
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1.0)

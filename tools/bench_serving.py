@@ -91,7 +91,7 @@ def measure(quick: bool) -> dict:
         # the capacity planner over the smoke scenario: pins the
         # enumerate/prune/frontier counts and the chosen fleet
         "planner": bench_planner(min_seconds=min_seconds / 2),
-        # the 1000-machine scale drill (sharded loop + fidelity:fast):
+        # the 1000-machine scale drill (pre-routed fidelity:fast):
         # one cold end-to-end run, identical in quick and full mode
         "megafleet_1k": bench_megafleet(),
         # what enabling telemetry costs, recorded informationally —
