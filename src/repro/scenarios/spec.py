@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import typing
 
@@ -78,14 +79,27 @@ def _take(data: dict, allowed: typing.Iterable[str], context: str) -> dict:
     return data
 
 
-def _integer(value: typing.Any, label: str) -> int:
+def _integer(value: typing.Any, label: str, low: int | None = None) -> int:
     """``value`` as an ``int``; a ValueError naming ``label`` unless it is
-    an integral number (a boolean, 2.5, NaN and infinity all fail)."""
+    an integral number (a boolean, 2.5, NaN and infinity all fail) of at
+    least ``low``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{label} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{label} must be >= {low}, got {value!r}")
     return value
+
+
+def _non_negative(value: typing.Any, label: str) -> float:
+    """``value`` as a ``float``; a ValueError naming ``label`` unless it is
+    a finite, non-negative number (a boolean, NaN and infinity fail)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0):
+        raise ValueError(
+            f"{label} must be a finite non-negative number, got {value!r}")
+    return float(value)
 
 
 def _boolean(value: typing.Any, label: str) -> bool:
@@ -313,13 +327,14 @@ def _parse_machine(
     if "gpu" in data:
         machine = machine.with_gpu(get_gpu(data["gpu"]))
     if "num_dimms" in data:
-        machine = machine.with_dimms(int(data["num_dimms"]))
+        machine = machine.with_dimms(
+            _integer(data["num_dimms"], f"{context}.num_dimms", low=1))
     if "multipliers" in data:
-        machine = machine.with_multipliers(int(data["multipliers"]))
+        machine = machine.with_multipliers(
+            _integer(data["multipliers"], f"{context}.multipliers", low=1))
     if "sync_latency" in data:
-        machine = dataclasses.replace(
-            machine, sync_latency=float(data["sync_latency"])
-        )
+        machine = dataclasses.replace(machine, sync_latency=_non_negative(
+            data["sync_latency"], f"{context}.sync_latency"))
     return machine
 
 
@@ -377,11 +392,15 @@ def _parse_fleet(
         nominal = entry.get("nominal_batch")
         groups.append(
             MachineGroup(
-                count=int(entry.get("count", 1)),
+                count=_integer(entry.get("count", 1), f"{context}.count",
+                               low=1),
                 backend=backend,
                 machine=machine,
                 model=model,
-                nominal_batch=int(nominal) if nominal is not None else None,
+                nominal_batch=(
+                    _integer(nominal, f"{context}.nominal_batch", low=1)
+                    if nominal is not None else None
+                ),
             )
         )
     return tuple(groups)

@@ -120,14 +120,17 @@ def _partition_cache(trace: ActivationTrace) -> dict:
 def _span_probe_store(trace: ActivationTrace) -> dict:
     """Per-trace memo of fast-fidelity span cost probes.
 
-    Same lifetime discipline as :func:`_partition_cache`.  A point's
-    value is the live-engine step cost at its *first* probe and is
-    shared by every machine with identical (machine, model, config,
-    nominal_batch) for the trace's lifetime, so a 1000-machine
-    homogeneous fleet pays each point's ~half-millisecond engine step
-    once instead of once per machine.  Repeated identical runs see the
-    same values (the first run also used them from first store), which
-    is what keeps fast mode deterministic run-to-run.
+    Same lifetime discipline as :func:`_partition_cache`.  Maps each
+    (machine, model name, config, nominal_batch) group to one probe
+    table keyed on ``(batch, context)``; every executor of the group
+    binds to that table at its first probe, so a probe is one small
+    lookup.  A point's value is the live-engine step cost at the
+    group's *first* probe of it and holds for the trace's lifetime, so
+    a 1000-machine homogeneous fleet pays each point's
+    ~half-millisecond engine step once instead of once per machine.
+    Repeated identical runs see the same values (the first run also
+    used them from first store), which is what keeps fast mode
+    deterministic run-to-run.
     """
     store = getattr(trace, "_span_probe_store", None)
     if store is None:
@@ -202,9 +205,11 @@ class MachineExecutor:
             )
         self._union_batch_cache: dict[tuple[float, int], int] = {}
         self._prefill_cache: dict[tuple[int, int], tuple[float, float]] = {}
-        self._span_probe_cache: dict[
+        #: this machine's group table in :func:`_span_probe_store`,
+        #: bound at the first probe (and again after a degrade)
+        self._span_probes: dict[
             tuple[int, int], tuple[float, float, float]
-        ] = {}
+        ] | None = None
         self._estimated_step: float | None = None
 
     # ------------------------------------------------------------------
@@ -268,23 +273,21 @@ class MachineExecutor:
         freezes each point at its first probe so a megafleet run pays
         the ~half-millisecond engine step once per distinct point
         instead of twice per span.  Part of fast mode's documented
-        approximation; the degrade path clears the memo because a
-        renegotiated machine quotes genuinely different costs.
+        approximation; the degrade path rebinds to the table of the
+        renegotiated machine, which quotes genuinely different costs.
         """
+        probes = self._span_probes
+        if probes is None:
+            group = (self.machine, self.model.name, self.system.config,
+                     self.nominal_batch)
+            probes = _span_probe_store(self.trace).setdefault(group, {})
+            self._span_probes = probes
         key = (batch, context)
-        hit = self._span_probe_cache.get(key)
+        hit = probes.get(key)
         if hit is None:
-            store = _span_probe_store(self.trace)
-            skey = (
-                self.machine, self.model.name, self.system.config,
-                self.nominal_batch, batch, context,
-            )
-            hit = store.get(skey)
-            if hit is None:
-                cost = self.decode_step(batch, context)
-                hit = (cost.seconds, cost.gpu_busy, cost.dimm_busy)
-                store[skey] = hit
-            self._span_probe_cache[key] = hit
+            cost = self.decode_step(batch, context)
+            hit = (cost.seconds, cost.gpu_busy, cost.dimm_busy)
+            probes[key] = hit
         return hit
 
     def span_estimate(
@@ -404,7 +407,7 @@ class MachineExecutor:
         self.system = HermesSystem(machine, self.model, self.system.config)
         self._prefill_cache.clear()
         self._union_batch_cache.clear()
-        self._span_probe_cache.clear()
+        self._span_probes = None
         self._estimated_step = None
         self.reset()
 

@@ -246,6 +246,8 @@ class _RunState:
         }
         self.next_arrival_idx = 0
         self.queues: list[list[Request]] = [[] for _ in range(num_queues)]
+        #: one queue per machine, fed by ``assign`` (else one shared)
+        self.routed = num_queues > 1
         #: running total of queued requests across every queue — kept
         #: incrementally at each enqueue/dequeue so ``note_queue`` stays
         #: O(1) instead of summing 1000 per-machine queues per sample
@@ -254,7 +256,11 @@ class _RunState:
         #: telemetry sink; every emission site guards on ``.enabled``
         self.tracer: Tracer = NULL_TRACER
         self.total_active = 0
-        self.active_counts = [0] * num_machines
+        #: the per-machine load that routers read through :meth:`loads`:
+        #: resident requests plus, in routed mode, the machine's own
+        #: queue — kept current at every join, leave, enqueue and
+        #: dequeue, so a routing call costs O(1) in fleet size
+        self.machine_loads = [0] * num_machines
         self.queue_samples: list[tuple[float, float]] = []
         self.batch_samples: list[tuple[float, float]] = []
         self.machine_gpu_busy = [0.0] * num_machines
@@ -317,15 +323,32 @@ class _RunState:
     # ------------------------------------------------------------------
     def queue_of(self, m: int) -> list[Request]:
         """Machine ``m``'s admission queue (the shared one if only one)."""
-        return self.queues[m] if len(self.queues) > 1 else self.queues[0]
+        return self.queues[m] if self.routed else self.queues[0]
 
     def loads(self) -> list[float]:
-        """Per-machine load proxy (queued + resident) routers consult."""
-        counts = self.active_counts
-        if len(self.queues) == 1:
+        """Per-machine load proxy (queued + resident) routers consult.
+
+        In routed mode this is the live :attr:`machine_loads` list, not
+        a copy — routers must treat it as read-only.  A request whose
+        admission prefill is running counts in neither its queue nor
+        the batch.
+        """
+        if not self.routed:
             # shared queue: the backlog belongs to no machine yet
-            return [float(c) for c in counts]
-        return [len(q) + c for q, c in zip(self.queues, counts)]
+            return [float(c) for c in self.machine_loads]
+        return self.machine_loads
+
+    def _enqueue(self, m: int, request: Request) -> None:
+        self.queue_of(m).append(request)
+        self.queued_count += 1
+        if self.routed:
+            self.machine_loads[m] += 1
+
+    def dequeued(self, m: int, count: int) -> None:
+        """Account ``count`` requests just taken off ``m``'s queue."""
+        self.queued_count -= count
+        if self.routed:
+            self.machine_loads[m] -= count
 
     def queued_total(self) -> int:
         return self.queued_count
@@ -357,8 +380,7 @@ class _RunState:
                and self.workload[self.next_arrival_idx].arrival <= now):
             request = self.workload[self.next_arrival_idx]
             target = 0 if self.assign is None else self.assign(request, now)
-            self.queues[target].append(request)
-            self.queued_count += 1
+            self._enqueue(target, request)
             self.next_arrival_idx += 1
             moved = True
             if tracer.enabled:
@@ -381,8 +403,7 @@ class _RunState:
 
     def requeue(self, m: int, request: Request, now: float) -> None:
         """Return a preempted request to machine ``m``'s queue."""
-        self.queue_of(m).append(request)
-        self.queued_count += 1
+        self._enqueue(m, request)
         self.note_queue(now)
 
     def migrate(self, request: Request, from_machine: int, now: float) -> None:
@@ -399,13 +420,12 @@ class _RunState:
         record = self.records[request.req_id]
         record.needs_prefill = True
         record.migrations += 1
-        routed = len(self.queues) > 1
+        routed = self.routed
         if routed and self.assign is not None:
             target = self.assign(request, now)
         else:
             target = 0
-        self.queues[target].append(request)
-        self.queued_count += 1
+        self._enqueue(target, request)
         if self.tracer.enabled:
             self.tracer.emit(RequestMigrated(
                 time=now,
@@ -726,7 +746,7 @@ class _MachineLoop:
         """Account ``count`` entries just removed from the batch."""
         state = self.state
         state.total_active -= count
-        state.active_counts[self.m] -= count
+        state.machine_loads[self.m] -= count
         state.note_batch(self.sim.now)
 
     # ---- fault / degrade ----------------------------------------------
@@ -747,18 +767,18 @@ class _MachineLoop:
         # counted as a second migration.  In routed mode the backlog is
         # re-routed too (the frontend still holds it).
         pending: list[Request] = []
-        if len(state.queues) > 1:
+        if state.routed:
             pending = list(state.queue_of(m))
             state.queue_of(m).clear()
-            state.queued_count -= len(pending)
+            state.dequeued(m, len(pending))
         if self.aborted is not None:
             state.migrate(self.aborted, m, now)
             self.aborted = None
         if self.active:
-            self._leave(len(self.active))
-            for entry in self.active:
+            residents, self.active = self.active, []
+            self._leave(len(residents))
+            for entry in residents:
                 state.migrate(entry.request, m, now)
-            self.active = []
         for request in pending:
             state.migrate(request, m, now)
         up = self.faults.up_time(m, now)
@@ -786,7 +806,7 @@ class _MachineLoop:
         degrade = self.applied_degrade = self.fh.at(now).degrade
         self.executor.degrade(*degrade)
         capacity = self.executor.kv_capacity_tokens()
-        routed = len(state.queues) > 1
+        routed = state.routed
         # keep the admission-order prefix that still fits the shrunken
         # KV pool; the overflow is re-queued on this same machine (it
         # did not die — renegotiation, not migration) and re-prefills
@@ -888,7 +908,7 @@ class _MachineLoop:
         # queue)
         while len(active) < limit and queue:
             request = queue.pop(policy.select(queue))
-            state.queued_count -= 1
+            state.dequeued(m, 1)
             state.note_queue(sim.now)
             record = state.records[request.req_id]
             record.machine = m
@@ -939,7 +959,7 @@ class _MachineLoop:
                     time=sim.now, req_id=request.req_id, machine=m))
             active.append(ActiveEntry(request, record, admitted_at=sim.now))
             state.total_active += 1
-            state.active_counts[m] += 1
+            state.machine_loads[m] += 1
             state.note_batch(sim.now)
             # arrivals during this prefill are admissible right away
             state.ingest(sim.now)

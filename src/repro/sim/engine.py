@@ -22,6 +22,16 @@ Processes are Python generators that yield simulation primitives:
 The engine is deterministic: simultaneous events fire in scheduling order.
 :meth:`Simulator.run` drains the calendar to quiescence in one call — a
 serving run puts its whole fleet, however large, on one calendar.
+
+**Inline resume.**  A yield that leaves its process ready at time ``t``
+— a ``Timeout``, a ``WaitUntil``, an ``Acquire`` of a free resource, a
+``Release`` (after any hand-off to a waiter), a join on a finished
+process — would push ``(t, seq, proc)``.  When the calendar is empty or
+its head is strictly later than ``t``, that push is the very next pop
+(ties break by push order), so the process resumes in place instead:
+same order, same clock, no heap round trip.  Blocked acquires, the
+waiter of a hand-off, signal waits and their wakes, joiners and new
+processes still go through the heap, and ``_seq`` counts those pushes.
 """
 
 from __future__ import annotations
@@ -172,52 +182,59 @@ class Simulator:
                 self._push(self.now, token.proc)
 
     # ------------------------------------------------------------------
-    def _step(self, proc: Process) -> None:
-        try:
-            item = next(proc.generator)
-        except StopIteration:
-            self._finish(proc)
-            return
-        self._dispatch(proc, item)
-
-    def _dispatch(self, proc: Process, item) -> None:
-        if isinstance(item, Timeout):
-            self._push(self.now + item.delay, proc)
-        elif isinstance(item, WaitUntil):
-            self._push(item.time if item.time > self.now else self.now, proc)
-        elif isinstance(item, WaitSignal):
-            token = _SignalWait(item.signal, proc)
-            item.signal._waiters.append(token)
-            if item.until is not None:
-                self._push(
-                    item.until if item.until > self.now else self.now, token
-                )
-        elif isinstance(item, Acquire):
-            resource = item.resource
-            if resource._holder is None:
+    def _resume(self, proc: Process) -> None:
+        """Run ``proc`` until it blocks or its next wake is not the
+        calendar's next entry (see the module docstring)."""
+        queue = self._queue
+        gen = proc.generator
+        while True:
+            try:
+                item = next(gen)
+            except StopIteration:
+                self._finish(proc)
+                return
+            now = self.now
+            if isinstance(item, WaitUntil):
+                time = item.time if item.time > now else now
+            elif isinstance(item, Acquire):
+                resource = item.resource
+                if resource._holder is not None:
+                    resource._waiters.append(proc)
+                    return
                 resource._holder = proc
-                self._push(self.now, proc)
+                time = now
+            elif isinstance(item, Release):
+                resource = item.resource
+                if resource._holder is not proc:
+                    raise RuntimeError(f"{proc.name} released "
+                                       f"{resource.name} it does not hold")
+                resource._holder = None
+                if resource._waiters:
+                    # hand-off: the waiter is queued at ``now`` ahead of
+                    # us, so the check below pushes ``proc`` after it
+                    waiter = resource._waiters.pop(0)
+                    resource._holder = waiter
+                    self._push(now, waiter)
+                time = now
+            elif isinstance(item, Timeout):
+                time = now + item.delay
+            elif isinstance(item, WaitSignal):
+                token = _SignalWait(item.signal, proc)
+                item.signal._waiters.append(token)
+                if item.until is not None:
+                    self._push(item.until if item.until > now else now, token)
+                return
+            elif isinstance(item, Process):
+                if not item.finished:
+                    item._joiners.append(proc)
+                    return
+                time = now
             else:
-                resource._waiters.append(proc)
-        elif isinstance(item, Release):
-            resource = item.resource
-            if resource._holder is not proc:
-                raise RuntimeError(
-                    f"{proc.name} released {resource.name} it does not hold"
-                )
-            resource._holder = None
-            if resource._waiters:
-                waiter = resource._waiters.pop(0)
-                resource._holder = waiter
-                self._push(self.now, waiter)
-            self._push(self.now, proc)
-        elif isinstance(item, Process):
-            if item.finished:
-                self._push(self.now, proc)
-            else:
-                item._joiners.append(proc)
-        else:
-            raise TypeError(f"process {proc.name} yielded {item!r}")
+                raise TypeError(f"process {proc.name} yielded {item!r}")
+            if queue and queue[0][0] <= time:
+                self._push(time, proc)
+                return
+            self.now = time
 
     def _finish(self, proc: Process) -> None:
         proc.finished = True
@@ -229,8 +246,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def run(self) -> float:
         """Run to quiescence; returns the final simulation time."""
-        while self._queue:
-            time, _, entry = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, entry = heapq.heappop(queue)
             if isinstance(entry, _SignalWait):
                 # deadline expiry of an interruptible wait; a no-op when
                 # the signal already fired (the wait woke exactly once)
@@ -238,9 +256,7 @@ class Simulator:
                     continue
                 entry.woken = True
                 entry.signal._waiters.remove(entry)
-                self.now = time
-                self._step(entry.proc)
-                continue
+                entry = entry.proc
             self.now = time
-            self._step(entry)
+            self._resume(entry)
         return self.now

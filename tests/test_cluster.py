@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,11 @@ from repro.cluster import (
     SLOPolicy,
     get_router,
 )
+from repro.cluster.routers import Router
+from repro.experiments.cluster_eval import SCENARIO_DIR
+from repro.hardware import Machine
+from repro.models import get_model
+from repro.scenarios import load_scenario
 from repro.serving import (
     CrashSpec,
     FaultSchedule,
@@ -28,6 +34,9 @@ from repro.serving import (
     get_policy,
     merge_workloads,
 )
+from repro.serving.executor import MachineExecutor
+from repro.serving.simulator import _MachineLoop, _RunState
+from repro.telemetry import RecordingTracer
 
 
 # ----------------------------------------------------------------------
@@ -450,3 +459,96 @@ def test_one_machine_round_robin_matches_serving(tiny_trace):
     assert clustered.batch_samples == base.batch_samples
     assert clustered.machine_gpu_busy == base.machine_gpu_busy
     assert clustered.machine_dimm_busy == base.machine_dimm_busy
+
+
+# ----------------------------------------------------------------------
+# incremental router loads and shared fast-mode probe tables
+# ----------------------------------------------------------------------
+class TestIncrementalLoads:
+    @pytest.mark.parametrize("name", ["chaos_domains_tiny", "mixed_slo_tiny"])
+    def test_loads_are_fresh_at_every_routing_call(self, name, monkeypatch):
+        """The incrementally kept loads equal ``len(queue) + resident``
+        recounted from scratch at every live routing call — through
+        crashes, a rack crash, degrade evictions, migrations and
+        preemptions."""
+        loops: list[_MachineLoop] = []
+        states: list[_RunState] = []
+        calls = [0]
+        loop_init = _MachineLoop.__init__
+        build_state = ClusterSimulator._build_state
+        make_router = ClusterSimulator._make_router
+
+        def init(self, *args, **kwargs):
+            loop_init(self, *args, **kwargs)
+            loops.append(self)
+
+        def capture_state(self, workload):
+            state = build_state(self, workload)
+            states.append(state)
+            return state
+
+        class Checking(Router):
+            def __init__(self, inner: Router) -> None:
+                self.inner, self.name = inner, inner.name
+
+            @property
+            def needs_throughputs(self):
+                return self.inner.needs_throughputs
+
+            def bind_fleet(self, tokens_per_second):
+                self.inner.bind_fleet(tokens_per_second)
+
+            def route(self, request, loads):
+                state = states[-1]
+                fresh = [len(state.queues[loop.m]) + len(loop.active)
+                         for loop in loops]
+                assert list(loads) == fresh
+                calls[0] += 1
+                return self.inner.route(request, loads)
+
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        if name == "chaos_domains_tiny":
+            # DIMMs of ~1.6 MB hold only a few hundred resident tokens on
+            # half the pool, so machine 3's degrade evicts residents
+            base = Machine()
+            dimm = dataclasses.replace(base.dimm, geometry=dataclasses.replace(
+                base.dimm.geometry, capacity_bytes=1_613_824))
+            scenario = dataclasses.replace(
+                scenario, machine=dataclasses.replace(base, dimm=dimm))
+        plain = scenario.run()
+        monkeypatch.setattr(_MachineLoop, "__init__", init)
+        monkeypatch.setattr(ClusterSimulator, "_build_state", capture_state)
+        monkeypatch.setattr(ClusterSimulator, "_make_router",
+                            lambda self: Checking(make_router(self)))
+        tracer = RecordingTracer()
+        checked = scenario.run(tracer=tracer)
+        assert [r.token_times for r in checked.records] == [
+            r.token_times for r in plain.records]
+        assert calls[0] >= len(checked.records)
+        kinds = {type(e).__name__ for e in tracer.events}
+        if name == "chaos_domains_tiny":
+            # crash refugees are routed again, live
+            assert calls[0] > len(checked.records)
+            assert checked.migrations > 0
+            assert "MachineDown" in kinds
+            assert any(getattr(e, "evicted", 0) > 0 for e in tracer.events)
+        else:
+            assert "RequestPreempted" in kinds
+
+
+class TestSharedProbeTables:
+    def test_group_shares_one_table_and_degrade_rebinds(self, tiny_trace):
+        """Two executors of one (machine, model, config, nominal_batch)
+        group probe through one table; a degraded executor moves to the
+        table of its renegotiated machine."""
+        a, b = (MachineExecutor(Machine(), get_model("tiny-test"),
+                                trace=tiny_trace, nominal_batch=3)
+                for _ in range(2))
+        first = a.span_estimate(2, 20.0, 4)
+        assert b.span_estimate(2, 20.0, 4) == first
+        assert a._span_probes is b._span_probes
+        assert set(a._span_probes) == {(2, 20), (2, 23)}
+        a.degrade(0.5, 1.0)
+        a.span_estimate(2, 20.0, 4)
+        assert a._span_probes is not b._span_probes
+        assert a.machine != b.machine

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -113,6 +114,44 @@ class TestParsing:
         assert (config.max_batch, config.router_seed) == (4, 3)
         assert type(config.max_batch) is int
         assert (config.macro_step, config.health_aware) == (False, True)
+
+    def test_bad_machine_and_fleet_values_rejected_with_their_key(self):
+        """Hardware counts must be integral and at least 1, the sync
+        latency a finite non-negative number; each error names its key
+        (no value is truncated, rounded or run as ``inf``)."""
+        spec = json.loads((SCENARIO_DIR / "mixed_slo_tiny.json").read_text())
+        del spec["cluster"]["num_machines"]  # a fleet: section sets it
+        nan, inf = float("nan"), float("inf")
+        cases = [("machine", key, bad) for key, bad in (
+            ("num_dimms", 2.5), ("num_dimms", True), ("num_dimms", nan),
+            ("num_dimms", 0), ("multipliers", 1.5), ("multipliers", "4"),
+            ("sync_latency", nan), ("sync_latency", inf),
+            ("sync_latency", -1e-6), ("sync_latency", False),
+        )]
+        cases += [("fleet[0]", key, bad) for key, bad in (
+            ("count", 2.5), ("count", True), ("count", 0),
+            ("nominal_batch", 1.5), ("nominal_batch", nan),
+            ("num_dimms", 2.5), ("sync_latency", inf),
+        )]
+        for section, key, bad in cases:
+            data = copy.deepcopy(spec)
+            if section == "machine":
+                data["machine"] = {key: bad}
+            else:
+                data["fleet"] = [{"count": 2, key: bad}]
+            with pytest.raises(ValueError,
+                               match=rf"{re.escape(section)}\.{key} must"):
+                parse_scenario(data)
+        data = copy.deepcopy(spec)
+        data["machine"] = {"num_dimms": 4.0, "multipliers": 128,
+                           "sync_latency": 0}
+        data["fleet"] = [{"count": 2.0, "nominal_batch": 3}]
+        scenario = parse_scenario(data)
+        assert scenario.machine.num_dimms == 4
+        assert type(scenario.machine.num_dimms) is int
+        assert scenario.machine.sync_latency == 0.0
+        assert (scenario.fleet[0].count, scenario.fleet[0].nominal_batch) == (
+            2, 3)
 
     def test_shard_processes_key_rejected(self):
         """The event loop is one calendar: the removed ``shards`` and
